@@ -28,6 +28,18 @@
 
 namespace {
 
+// Peak resident set of this process (VmHWM) in KiB; 0 where /proc is absent.
+uint64_t PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
 std::vector<uint64_t> ParseSeeds(const std::string& list) {
   std::vector<uint64_t> seeds;
   size_t pos = 0;
@@ -295,7 +307,8 @@ int main(int argc, char** argv) {
     }
     failures += report.ok ? 0 : 1;
   }
-  std::printf("chaos smoke: %zu seeds, %d failed\n", seeds.size(), failures);
+  std::printf("chaos smoke: %zu seeds, %d failed, peak RSS %.1f MiB\n", seeds.size(), failures,
+              static_cast<double>(PeakRssKb()) / 1024.0);
 
   if (health) {
     failures += RunHealthDrill(drill_seed, verbose, health_json);

@@ -7,18 +7,16 @@ namespace ursa::storage {
 void BlockDevice::Submit(IoRequest req) {
   if (gate_ != nullptr) {
     if (req.type == IoType::kWrite) {
-      if (PageStore* store = mutable_page_store()) {
-        // Apply the payload now so scheduler reordering stays timing-only:
-        // data visibility keeps submission order, matching the ungated path
-        // where every device model applies bytes at SubmitIo. Dropping the
-        // payload refs afterwards releases buffers while the request queues
-        // and keeps the device model from re-applying.
-        ApplyWritePayload(*store, req);
-        req.data = nullptr;
-        req.scatter.clear();
-        req.hold = BufferView();
-        req.hold2 = BufferView();
-      }
+      // Apply the payload now so scheduler reordering stays timing-only:
+      // data visibility keeps submission order, matching the ungated path
+      // where every device model applies bytes at SubmitIo. Dropping the
+      // payload refs afterwards releases buffers while the request queues
+      // and keeps the device model from re-applying.
+      ApplyWritePayload(store_, req);
+      req.data = nullptr;
+      req.scatter.clear();
+      req.hold = BufferView();
+      req.hold2 = BufferView();
     }
     gate_->OnSubmit(std::move(req));
     return;

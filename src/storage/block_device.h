@@ -8,7 +8,9 @@
 #ifndef URSA_STORAGE_BLOCK_DEVICE_H_
 #define URSA_STORAGE_BLOCK_DEVICE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -33,7 +35,125 @@ struct DeviceFault {
   bool stuck = false;
 };
 
-class PageStore;
+// Sparse page-granular byte store backing devices that carry real data.
+// Pages materialize on first write; reads of untouched pages return zeros, so
+// a store holds RAM only for pages that hold data.
+class PageStore {
+ public:
+  static constexpr uint64_t kPageSize = 4096;
+
+  void Write(uint64_t offset, const void* data, uint64_t length);
+  void Read(uint64_t offset, void* out, uint64_t length) const;
+  // Writes `length` zero bytes. Not a no-op: pages may hold earlier data
+  // (ring journals reuse space), so the zeros must land.
+  void WriteZeros(uint64_t offset, uint64_t length);
+  // TRIM: afterwards every byte of the range reads back as zero. Pages the
+  // range covers whole are dropped; a partly covered page is zeroed in place
+  // and dropped too once it holds no non-zero byte.
+  void Discard(uint64_t offset, uint64_t length);
+
+  size_t allocated_pages() const { return pages_.size(); }
+
+ private:
+  std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
+};
+
+inline void PageStore::Write(uint64_t offset, const void* data, uint64_t length) {
+  const auto* src = static_cast<const uint8_t*>(data);
+  while (length > 0) {
+    uint64_t page = offset / kPageSize;
+    uint64_t in_page = offset % kPageSize;
+    uint64_t n = std::min(kPageSize - in_page, length);
+    auto& bytes = pages_[page];
+    if (bytes.empty()) {
+      bytes.assign(kPageSize, 0);
+    }
+    std::copy(src, src + n, bytes.begin() + static_cast<ptrdiff_t>(in_page));
+    src += n;
+    offset += n;
+    length -= n;
+  }
+}
+
+inline void PageStore::WriteZeros(uint64_t offset, uint64_t length) {
+  while (length > 0) {
+    uint64_t page = offset / kPageSize;
+    uint64_t in_page = offset % kPageSize;
+    uint64_t n = std::min(kPageSize - in_page, length);
+    auto it = pages_.find(page);
+    if (it != pages_.end()) {
+      std::fill(it->second.begin() + static_cast<ptrdiff_t>(in_page),
+                it->second.begin() + static_cast<ptrdiff_t>(in_page + n), uint8_t{0});
+    }
+    // Untouched pages already read back as zeros; no need to materialize them.
+    offset += n;
+    length -= n;
+  }
+}
+
+inline void PageStore::Discard(uint64_t offset, uint64_t length) {
+  while (length > 0) {
+    uint64_t page = offset / kPageSize;
+    uint64_t in_page = offset % kPageSize;
+    uint64_t n = std::min(kPageSize - in_page, length);
+    auto it = pages_.find(page);
+    if (it != pages_.end()) {
+      std::vector<uint8_t>& bytes = it->second;
+      if (n < kPageSize) {
+        std::fill(bytes.begin() + static_cast<ptrdiff_t>(in_page),
+                  bytes.begin() + static_cast<ptrdiff_t>(in_page + n), uint8_t{0});
+      }
+      // All-zero test: the first byte is zero and every byte equals its
+      // successor (one memcmp instead of a byte loop).
+      if (n == kPageSize ||
+          (bytes[0] == 0 && std::memcmp(bytes.data(), bytes.data() + 1, kPageSize - 1) == 0)) {
+        pages_.erase(it);
+      }
+    }
+    offset += n;
+    length -= n;
+  }
+}
+
+// Applies a write request's payload to a PageStore, handling both the
+// contiguous (`data`) and scatter-gather (`scatter`) forms. Shared by every
+// device model that carries real bytes.
+inline void ApplyWritePayload(PageStore& store, const IoRequest& req) {
+  if (!req.scatter.empty()) {
+    uint64_t offset = req.offset;
+    for (const IoSegment& seg : req.scatter) {
+      if (seg.data != nullptr) {
+        store.Write(offset, seg.data, seg.length);
+      } else {
+        store.WriteZeros(offset, seg.length);
+      }
+      offset += seg.length;
+    }
+    return;
+  }
+  if (req.data != nullptr) {
+    store.Write(req.offset, req.data, req.length);
+  }
+}
+
+inline void PageStore::Read(uint64_t offset, void* out, uint64_t length) const {
+  auto* dst = static_cast<uint8_t*>(out);
+  while (length > 0) {
+    uint64_t page = offset / kPageSize;
+    uint64_t in_page = offset % kPageSize;
+    uint64_t n = std::min(kPageSize - in_page, length);
+    auto it = pages_.find(page);
+    if (it == pages_.end()) {
+      std::fill(dst, dst + n, 0);
+    } else {
+      std::copy(it->second.begin() + static_cast<ptrdiff_t>(in_page),
+                it->second.begin() + static_cast<ptrdiff_t>(in_page + n), dst);
+    }
+    dst += n;
+    offset += n;
+    length -= n;
+  }
+}
 
 // Admission gate a QoS scheduler installs in front of a device. When a gate
 // is attached, BlockDevice::Submit hands every request to the gate instead of
@@ -88,6 +208,15 @@ class BlockDevice {
 
   virtual uint64_t capacity() const = 0;
 
+  // TRIM: drops the stored bytes of [offset, offset+length), which read back
+  // as zeros afterwards. Zero simulated time and no device traffic — it only
+  // bounds the simulator's memory to live data. Callers must ensure no
+  // submitted-but-unserved read still needs the range.
+  void Discard(uint64_t offset, uint64_t length) { store_.Discard(offset, length); }
+
+  // Bytes of simulated media currently held in memory.
+  uint64_t resident_bytes() const { return store_.allocated_pages() * PageStore::kPageSize; }
+
   const DeviceStats& stats() const { return stats_; }
   void ResetStats() { stats_ = DeviceStats{}; }
 
@@ -119,16 +248,13 @@ class BlockDevice {
   void Dispatch(IoRequest req);
 
  protected:
-
-  // Backing byte store of the device model, when it carries real data.
-  // Submit uses it to apply write payloads eagerly while a QoS gate is
-  // attached: the scheduler reorders requests for timing, but data
-  // visibility must keep submission order (the invariant every device model
-  // provides by applying bytes at SubmitIo in the ungated path).
-  virtual PageStore* mutable_page_store() { return nullptr; }
-
   sim::Simulator* sim_;
   DeviceStats stats_;
+  // Backing bytes of the device model. Device models apply payloads at
+  // SubmitIo; Submit applies them eagerly instead while a QoS gate is
+  // attached: the scheduler reorders requests for timing, but data
+  // visibility must keep submission order.
+  PageStore store_;
 
  private:
   IoGate* gate_ = nullptr;
@@ -138,97 +264,6 @@ class BlockDevice {
   uint64_t fault_delayed_ops_ = 0;
   uint64_t fault_stuck_ops_ = 0;
 };
-
-// Sparse page-granular byte store backing devices that carry real data.
-// Pages materialize on first write; reads of untouched pages return zeros.
-class PageStore {
- public:
-  static constexpr uint64_t kPageSize = 4096;
-
-  void Write(uint64_t offset, const void* data, uint64_t length);
-  void Read(uint64_t offset, void* out, uint64_t length) const;
-  // Writes `length` zero bytes. Not a no-op: pages may hold earlier data
-  // (ring journals reuse space), so the zeros must land.
-  void WriteZeros(uint64_t offset, uint64_t length);
-
-  size_t allocated_pages() const { return pages_.size(); }
-
- private:
-  std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
-};
-
-inline void PageStore::Write(uint64_t offset, const void* data, uint64_t length) {
-  const auto* src = static_cast<const uint8_t*>(data);
-  while (length > 0) {
-    uint64_t page = offset / kPageSize;
-    uint64_t in_page = offset % kPageSize;
-    uint64_t n = std::min(kPageSize - in_page, length);
-    auto& bytes = pages_[page];
-    if (bytes.empty()) {
-      bytes.assign(kPageSize, 0);
-    }
-    std::copy(src, src + n, bytes.begin() + static_cast<ptrdiff_t>(in_page));
-    src += n;
-    offset += n;
-    length -= n;
-  }
-}
-
-inline void PageStore::WriteZeros(uint64_t offset, uint64_t length) {
-  while (length > 0) {
-    uint64_t page = offset / kPageSize;
-    uint64_t in_page = offset % kPageSize;
-    uint64_t n = std::min(kPageSize - in_page, length);
-    auto it = pages_.find(page);
-    if (it != pages_.end()) {
-      std::fill(it->second.begin() + static_cast<ptrdiff_t>(in_page),
-                it->second.begin() + static_cast<ptrdiff_t>(in_page + n), uint8_t{0});
-    }
-    // Untouched pages already read back as zeros; no need to materialize them.
-    offset += n;
-    length -= n;
-  }
-}
-
-// Applies a write request's payload to a PageStore, handling both the
-// contiguous (`data`) and scatter-gather (`scatter`) forms. Shared by every
-// device model that carries real bytes.
-inline void ApplyWritePayload(PageStore& store, const IoRequest& req) {
-  if (!req.scatter.empty()) {
-    uint64_t offset = req.offset;
-    for (const IoSegment& seg : req.scatter) {
-      if (seg.data != nullptr) {
-        store.Write(offset, seg.data, seg.length);
-      } else {
-        store.WriteZeros(offset, seg.length);
-      }
-      offset += seg.length;
-    }
-    return;
-  }
-  if (req.data != nullptr) {
-    store.Write(req.offset, req.data, req.length);
-  }
-}
-
-inline void PageStore::Read(uint64_t offset, void* out, uint64_t length) const {
-  auto* dst = static_cast<uint8_t*>(out);
-  while (length > 0) {
-    uint64_t page = offset / kPageSize;
-    uint64_t in_page = offset % kPageSize;
-    uint64_t n = std::min(kPageSize - in_page, length);
-    auto it = pages_.find(page);
-    if (it == pages_.end()) {
-      std::fill(dst, dst + n, 0);
-    } else {
-      std::copy(it->second.begin() + static_cast<ptrdiff_t>(in_page),
-                it->second.begin() + static_cast<ptrdiff_t>(in_page + n), dst);
-    }
-    dst += n;
-    offset += n;
-    length -= n;
-  }
-}
 
 }  // namespace ursa::storage
 

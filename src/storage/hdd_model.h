@@ -58,7 +58,6 @@ class HddModel : public BlockDevice {
 
  protected:
   void SubmitIo(IoRequest req) override;
-  PageStore* mutable_page_store() override { return &store_; }
 
  private:
   struct Pending {
@@ -80,7 +79,6 @@ class HddModel : public BlockDevice {
   uint64_t head_pos_ = 0;
   uint64_t next_seq_ = 0;
   Nanos busy_time_ = 0;
-  PageStore store_;
 };
 
 }  // namespace ursa::storage

@@ -34,14 +34,12 @@ class MemDevice : public BlockDevice {
 
  protected:
   void SubmitIo(IoRequest req) override;
-  PageStore* mutable_page_store() override { return &store_; }
 
  private:
   uint64_t capacity_;
   Nanos fixed_latency_;
   size_t inflight_ = 0;
   int fail_next_ = 0;
-  PageStore store_;
 };
 
 }  // namespace ursa::storage

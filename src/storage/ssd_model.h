@@ -44,13 +44,11 @@ class SsdModel : public BlockDevice {
 
  protected:
   void SubmitIo(IoRequest req) override;
-  PageStore* mutable_page_store() override { return &store_; }
 
  private:
   SsdParams params_;
   std::vector<std::unique_ptr<sim::Resource>> channels_;
   size_t inflight_ = 0;
-  PageStore store_;
 };
 
 }  // namespace ursa::storage

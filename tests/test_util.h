@@ -4,6 +4,8 @@
 #define URSA_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -54,6 +56,45 @@ inline std::vector<uint8_t> Pattern(size_t length, uint64_t seed) {
   }
   return out;
 }
+
+// QoS-gate stand-in that holds back the requests `hold` selects (until
+// Release) and admits everything else at once. Writes pass through Submit's
+// eager payload path either way, so only reads observe the hold.
+class HoldingGate : public storage::IoGate {
+ public:
+  HoldingGate(storage::BlockDevice* device, std::function<bool(const storage::IoRequest&)> hold)
+      : device_(device), hold_(std::move(hold)) {
+    device_->SetGate(this);
+  }
+  ~HoldingGate() override { device_->SetGate(nullptr); }
+  HoldingGate(const HoldingGate&) = delete;
+  HoldingGate& operator=(const HoldingGate&) = delete;
+
+  void OnSubmit(storage::IoRequest req) override {
+    if (holding_ && hold_(req)) {
+      held_.push_back(std::move(req));
+      return;
+    }
+    device_->Admit(std::move(req));
+  }
+
+  void Release() {
+    holding_ = false;
+    std::vector<storage::IoRequest> held;
+    held.swap(held_);
+    for (storage::IoRequest& req : held) {
+      device_->Admit(std::move(req));
+    }
+  }
+
+  size_t held() const { return held_.size(); }
+
+ private:
+  storage::BlockDevice* device_;
+  std::function<bool(const storage::IoRequest&)> hold_;
+  bool holding_ = true;
+  std::vector<storage::IoRequest> held_;
+};
 
 }  // namespace ursa::test
 
