@@ -4,6 +4,7 @@
 #include <string>
 
 #include "src/common/logging.h"
+#include "src/common/loop.h"
 #include "src/journal/journal_manager.h"
 
 namespace ursa::chaos {
@@ -193,8 +194,7 @@ void ChaosEngine::ScheduleFaults() {
   const Nanos flip_deadline = plan_.warmup + plan_.fault_window + plan_.max_fault_len;
   for (int i = 0; i < plan_.bit_flips; ++i) {
     Nanos start = sample_start();
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, attempt, flip_deadline]() {
+    Loop attempt([this, flip_deadline](const Loop& again) {
       const auto& managers = cluster_->journal_managers();
       if (managers.empty()) {
         return;
@@ -210,12 +210,12 @@ void ChaosEngine::ScheduleFaults() {
         }
       }
       if (sim_->Now() + msec(1) <= flip_deadline) {
-        sim_->After(msec(1), *attempt);
+        sim_->After(msec(1), again);
       } else {
         Note("bit flip abandoned: no journal held pending data before the window closed");
       }
-    };
-    sim_->After(start, [attempt]() { (*attempt)(); });
+    });
+    sim_->After(start, std::move(attempt));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/loop.h"
 #include "src/net/message.h"
 #include "src/net/rpc.h"
 
@@ -574,22 +575,17 @@ void VirtualDisk::DegradedShardRead(size_t chunk_index, int shard_index, uint64_
       return;
     }
     if (out != nullptr && buf != nullptr) {
-      ec::ReedSolomon* rs = Codec(k, n - k);
-      std::vector<bool> present(n, false);
       std::vector<const uint8_t*> shards(n, nullptr);
       for (size_t i = 0; i < sources.size(); ++i) {
-        present[sources[i]] = true;
         shards[sources[i]] = buf->data() + i * len;
-      }
-      ec::ReedSolomon::DecodePlan plan;
-      Status ps = rs->PlanReconstruct(present, {shard_index}, &plan);
-      if (!ps.ok()) {
-        done(ps);
-        return;
       }
       std::vector<uint8_t*> rebuild(n, nullptr);
       rebuild[shard_index] = static_cast<uint8_t*>(out);
-      rs->ReconstructWith(plan, shards, rebuild, len);
+      Status rs = Codec(k, n - k)->Reconstruct(shards, std::move(rebuild), len);
+      if (!rs.ok()) {
+        done(rs);
+        return;
+      }
     }
     done(OkStatus());
   };
@@ -998,10 +994,9 @@ void VirtualDisk::Upgrade(const std::string& version, Nanos swap_window,
   upgrading_ = true;  // (i) stop receiving new I/O requests from the VMM
 
   // (ii) complete pending requests, polling until the core is quiescent.
-  auto wait_drain = std::make_shared<std::function<void()>>();
-  *wait_drain = [this, version, swap_window, done = std::move(done), wait_drain]() mutable {
+  Loop::Start([this, version, swap_window, done = std::move(done)](const Loop& again) mutable {
     if (inflight_user_ops_ > 0) {
-      sim_->After(msec(1), *wait_drain);
+      sim_->After(msec(1), again);
       return;
     }
     // (iii) save status, exit; the shell starts the new core, which reads
@@ -1016,8 +1011,7 @@ void VirtualDisk::Upgrade(const std::string& version, Nanos swap_window,
       }
       done();
     });
-  };
-  (*wait_drain)();
+  });
 }
 
 Nanos VirtualDisk::BackoffDelay(int attempt) {

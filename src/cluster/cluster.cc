@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/loop.h"
 
 namespace ursa::cluster {
 
@@ -144,18 +145,17 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
       // NotFound is terminal, not transient: replay scans can quarantine a
       // record whose decoded chunk id is itself garbage (corrupt header), and
       // no amount of retrying repairs a chunk the master never allocated.
-      auto attempt = std::make_shared<std::function<void()>>();
-      *attempt = [this, sid, chunk, offset, length, healed = std::move(healed), attempt]() {
+      Loop::Start([this, sid, chunk, offset, length,
+                   healed = std::move(healed)](const Loop& again) {
         master_->RepairCorruptRange(chunk, sid, offset, length,
-                                    [this, healed, attempt](Status s2) {
+                                    [this, healed, again](Status s2) {
                                       if (s2.ok()) {
                                         healed();
                                       } else if (s2.code() != StatusCode::kNotFound) {
-                                        sim_->After(msec(100), *attempt);
+                                        sim_->After(msec(100), again);
                                       }
                                     });
-      };
-      (*attempt)();
+      });
     });
   }
 
@@ -221,18 +221,16 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
               ++scrub_mismatches_reported_;
               server->AddScrubQuarantine(chunk, offset, length);
               ServerId sid = server->id();
-              auto attempt = std::make_shared<std::function<void()>>();
-              *attempt = [this, sid, chunk, offset, length, attempt]() {
+              Loop::Start([this, sid, chunk, offset, length](const Loop& again) {
                 master_->RepairCorruptRange(chunk, sid, offset, length,
-                                            [this, attempt](Status s2) {
+                                            [this, again](Status s2) {
                                               if (s2.ok()) {
                                                 ++scrub_repairs_completed_;
                                               } else if (s2.code() != StatusCode::kNotFound) {
-                                                sim_->After(msec(100), *attempt);
+                                                sim_->After(msec(100), again);
                                               }
                                             });
-              };
-              (*attempt)();
+              });
             },
             qos::ServiceClass::kScrub);
       };

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/loop.h"
 #include "src/net/message.h"
 #include "src/tier/heat_tracker.h"
 
@@ -442,93 +443,47 @@ void Master::TransferRanges(ChunkId chunk, ChunkServer* source, ChunkServer* tar
 void Master::TransferChunkNow(ChunkId chunk, ChunkServer* source, ChunkServer* target,
                               uint64_t chunk_size, std::function<void(Status, uint64_t)> done,
                               qos::ServiceClass cls) {
-  // Sliding window of `recovery_window_` pieces, each `recovery_piece_`
-  // bytes: read at the source (journal-aware), ship over the network, write
-  // at the target. Saturates the target's inbound NIC when sources are fast
-  // enough — the Fig. 12 bound.
-  struct State {
-    uint64_t next_offset = 0;
-    uint64_t completed = 0;
-    uint64_t total_pieces = 0;
-    uint64_t source_version = 0;
-    bool failed = false;
-    bool waiting = false;
-    std::function<void(Status, uint64_t)> done;
-  };
-  auto st = std::make_shared<State>();
-  st->total_pieces = (chunk_size + recovery_piece_ - 1) / recovery_piece_;
-  st->done = std::move(done);
-
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, chunk, source, target, chunk_size, cls, st, pump]() {
-    if (st->failed || st->waiting) {
-      return;
-    }
-    // QoS backpressure: when the target device's scheduler reports the
-    // recovery class past its queue-depth high watermark, pause issuing
-    // pieces until it drains to the low watermark (in-flight pieces finish).
-    storage::IoGate* gate = target->store()->device()->gate();
-    if (gate != nullptr && gate->ShouldThrottle(cls)) {
-      st->waiting = true;
-      gate->WhenReady(cls, [st, pump]() {
-        st->waiting = false;
-        (*pump)();
-      });
-      return;
-    }
-    while (st->next_offset < chunk_size &&
-           (st->next_offset / recovery_piece_) - st->completed <
-               static_cast<uint64_t>(recovery_window_)) {
-      uint64_t offset = st->next_offset;
-      uint64_t len = std::min(recovery_piece_, chunk_size - offset);
-      st->next_offset += len;
-      std::shared_ptr<std::vector<uint8_t>> buf;
-      if (recovery_carries_data_) {
-        buf = std::make_shared<std::vector<uint8_t>>(len);
-      }
-      void* buf_ptr = buf ? buf->data() : nullptr;
-      source->HandleRecoveryRead(
-          chunk, offset, len, buf_ptr,
-          [this, chunk, source, target, offset, len, cls, st, pump, buf](const Status& s,
-                                                                         uint64_t version) {
-            if (st->failed) {
-              return;
-            }
-            if (!s.ok()) {
-              st->failed = true;
-              st->done(s, 0);
-              return;
-            }
-            st->source_version = std::max(st->source_version, version);
-            uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, len);
-            transport_->Send(source->node(), target->node(), wire,
-                             [this, chunk, target, offset, len, cls, st, pump, buf]() {
-                               target->HandleRecoveryWrite(
-                                   chunk, offset, len, buf ? buf->data() : nullptr,
-                                   [this, len, st, pump, buf](const Status& s2) {
-                                     if (st->failed) {
-                                       return;
-                                     }
-                                     if (!s2.ok()) {
-                                       st->failed = true;
-                                       st->done(s2, 0);
-                                       return;
-                                     }
-                                     ++st->completed;
-                                     recovery_stats_.bytes_transferred += len;
-                                     if (st->completed == st->total_pieces) {
-                                       st->done(OkStatus(), st->source_version);
-                                     } else {
-                                       (*pump)();
-                                     }
-                                   },
-                                   cls);
-                             });
-          },
-          cls);
-    }
-  };
-  (*pump)();
+  // Each piece: read at the source (journal-aware), ship over the network,
+  // write at the target. Saturates the target's inbound NIC when sources are
+  // fast enough — the Fig. 12 bound. `failed` stops pieces still reading
+  // from shipping once any piece has failed the copy.
+  auto failed = std::make_shared<bool>(false);
+  PumpPieces(
+      chunk_size, target, cls, /*count_bytes=*/true,
+      [this, chunk, source, target, cls, failed](uint64_t offset, uint64_t len,
+                                                 PieceLanded landed) {
+        std::shared_ptr<std::vector<uint8_t>> buf;
+        if (recovery_carries_data_) {
+          buf = std::make_shared<std::vector<uint8_t>>(len);
+        }
+        void* buf_ptr = buf ? buf->data() : nullptr;
+        source->HandleRecoveryRead(
+            chunk, offset, len, buf_ptr,
+            [this, chunk, source, target, offset, len, cls, failed, buf,
+             landed = std::move(landed)](const Status& s, uint64_t version) {
+              if (*failed) {
+                return;
+              }
+              if (!s.ok()) {
+                *failed = true;
+                landed(s, 0);
+                return;
+              }
+              uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, len);
+              transport_->Send(source->node(), target->node(), wire,
+                               [chunk, target, offset, len, cls, failed, buf, landed, version]() {
+                                 target->HandleRecoveryWrite(
+                                     chunk, offset, len, buf ? buf->data() : nullptr,
+                                     [failed, buf, landed, version](const Status& s2) {
+                                       *failed = *failed || !s2.ok();
+                                       landed(s2, version);
+                                     },
+                                     cls);
+                               });
+            },
+            cls);
+      },
+      std::move(done));
 }
 
 void Master::TransferRangesNow(ChunkId chunk, ChunkServer* source, ChunkServer* target,
@@ -1027,82 +982,35 @@ Result<std::vector<ServerId>> Master::PickShardServers(int n, uint64_t salt) con
   return out;
 }
 
-void Master::ReadChunkPieces(ChunkServer* server, ChunkId chunk, uint64_t size, uint8_t* out,
-                             std::shared_ptr<void> hold, qos::ServiceClass cls,
-                             std::function<void(Status, uint64_t)> done) {
+void Master::PumpPieces(uint64_t size, ChunkServer* gated, qos::ServiceClass cls,
+                        bool count_bytes, PieceMove move_piece,
+                        std::function<void(Status, uint64_t)> done) {
   struct State {
     uint64_t next_offset = 0;
     uint64_t completed = 0;
     uint64_t total_pieces = 0;
     uint64_t version = 0;
     bool failed = false;
-    std::shared_ptr<void> hold;
+    bool waiting = false;
     std::function<void(Status, uint64_t)> done;
   };
   auto st = std::make_shared<State>();
   st->total_pieces = (size + recovery_piece_ - 1) / recovery_piece_;
-  st->hold = std::move(hold);
   st->done = std::move(done);
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, server, chunk, size, out, cls, st, pump]() {
-    while (!st->failed && st->next_offset < size &&
-           (st->next_offset / recovery_piece_) - st->completed <
-               static_cast<uint64_t>(recovery_window_)) {
-      uint64_t offset = st->next_offset;
-      uint64_t len = std::min(recovery_piece_, size - offset);
-      st->next_offset += len;
-      server->HandleRecoveryRead(
-          chunk, offset, len, out == nullptr ? nullptr : out + offset,
-          [st, pump](const Status& s, uint64_t version) {
-            if (st->failed) {
-              return;
-            }
-            if (!s.ok()) {
-              st->failed = true;
-              st->done(s, 0);
-              return;
-            }
-            st->version = std::max(st->version, version);
-            if (++st->completed == st->total_pieces) {
-              st->done(OkStatus(), st->version);
-            } else {
-              (*pump)();
-            }
-          },
-          cls);
-    }
-  };
-  (*pump)();
-}
-
-void Master::WriteChunkPieces(ChunkServer* target, ChunkId chunk, uint64_t size,
-                              const uint8_t* data, std::shared_ptr<void> hold,
-                              net::NodeId from_node, qos::ServiceClass cls,
-                              std::function<void(Status)> done, bool shielded) {
-  struct State {
-    uint64_t next_offset = 0;
-    uint64_t completed = 0;
-    uint64_t total_pieces = 0;
-    bool failed = false;
-    bool waiting = false;
-    std::shared_ptr<void> hold;
-    std::function<void(Status)> done;
-  };
-  auto st = std::make_shared<State>();
-  st->total_pieces = (size + recovery_piece_ - 1) / recovery_piece_;
-  st->hold = std::move(hold);
-  st->done = std::move(done);
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, target, chunk, size, data, from_node, cls, st, pump, shielded]() {
+  Loop::Start([this, size, gated, cls, count_bytes, st,
+               move_piece = std::move(move_piece)](const Loop& again) {
     if (st->failed || st->waiting) {
       return;
     }
-    storage::IoGate* gate = target->store()->device()->gate();
+    // QoS backpressure: when the target device's scheduler reports `cls`
+    // past its queue-depth high watermark, pause issuing pieces until it
+    // drains to the low watermark (in-flight pieces finish).
+    storage::IoGate* gate = gated == nullptr ? nullptr : gated->store()->device()->gate();
     if (gate != nullptr && gate->ShouldThrottle(cls)) {
       st->waiting = true;
-      gate->WhenReady(cls, [st, pump]() {
+      gate->WhenReady(cls, [st, again]() {
         st->waiting = false;
-        (*pump)();
+        again();
       });
       return;
     }
@@ -1112,38 +1020,111 @@ void Master::WriteChunkPieces(ChunkServer* target, ChunkId chunk, uint64_t size,
       uint64_t offset = st->next_offset;
       uint64_t len = std::min(recovery_piece_, size - offset);
       st->next_offset += len;
-      uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, len);
-      transport_->Send(from_node, target->node(), wire,
-                       [this, target, chunk, offset, len, data, cls, st, pump, shielded]() {
-                         auto piece_done = [this, len, st, pump](const Status& s) {
-                           if (st->failed) {
-                             return;
-                           }
-                           if (!s.ok()) {
-                             st->failed = true;
-                             st->done(s);
-                             return;
-                           }
-                           recovery_stats_.bytes_transferred += len;
-                           if (++st->completed == st->total_pieces) {
-                             st->done(OkStatus());
-                           } else {
-                             (*pump)();
-                           }
-                         };
-                         const uint8_t* src = data == nullptr ? nullptr : data + offset;
-                         if (shielded) {
-                           target->HandleBackfillWrite(chunk, offset, len,
-                                                       ursa::BufferView::Unowned(src, len),
-                                                       std::move(piece_done), cls);
-                         } else {
-                           target->HandleRecoveryWrite(chunk, offset, len, src,
-                                                       std::move(piece_done), cls);
-                         }
-                       });
+      move_piece(offset, len, [this, len, count_bytes, st, again](const Status& s,
+                                                                  uint64_t version) {
+        if (st->failed) {
+          return;
+        }
+        if (!s.ok()) {
+          st->failed = true;
+          st->done(s, 0);
+          return;
+        }
+        st->version = std::max(st->version, version);
+        if (count_bytes) {
+          recovery_stats_.bytes_transferred += len;
+        }
+        if (++st->completed == st->total_pieces) {
+          st->done(OkStatus(), st->version);
+        } else {
+          again();
+        }
+      });
     }
+  });
+}
+
+std::vector<ServerId> Master::PlaceReplicaTargets(ChunkId chunk, size_t seq, int replication,
+                                                 DiskId disk_id) const {
+  std::vector<ServerId> targets;
+  std::vector<MachineId> used;
+  auto try_add = [this, chunk, &targets, &used](ServerId sid) {
+    ChunkServer* server = servers_[sid];
+    if (server->crashed() || server->HasChunk(chunk)) {
+      return;
+    }
+    targets.push_back(sid);
+    used.push_back(placement_.MachineOf(sid));
   };
-  (*pump)();
+  Result<std::vector<ServerId>> placed = placement_.PlaceChunk(seq, replication, disk_id * 7919);
+  if (placed.ok()) {
+    for (ServerId sid : *placed) {
+      try_add(sid);
+    }
+  }
+  for (uint64_t salt = chunk;
+       static_cast<int>(targets.size()) < replication && salt < chunk + 2 * num_servers();
+       ++salt) {
+    Result<ServerId> cand = placement_.PlaceReplacement(targets.empty(), used, salt);
+    if (cand.ok()) {
+      try_add(*cand);
+    }
+  }
+  return targets;
+}
+
+Status Master::RebuildShards(int k, int m, const std::vector<int>& sources,
+                             const std::vector<int>& wanted,
+                             const std::function<uint8_t*(int)>& slot, uint64_t len) {
+  std::vector<const uint8_t*> shards(k + m, nullptr);
+  for (int i : sources) {
+    shards[i] = slot(i);
+  }
+  std::vector<uint8_t*> out(k + m, nullptr);
+  for (int t : wanted) {
+    out[t] = slot(t);
+  }
+  return Codec(k, m)->Reconstruct(shards, std::move(out), len);
+}
+
+void Master::ReadChunkPieces(ChunkServer* server, ChunkId chunk, uint64_t size, uint8_t* out,
+                             std::shared_ptr<void> hold, qos::ServiceClass cls,
+                             std::function<void(Status, uint64_t)> done) {
+  PumpPieces(
+      size, /*gated=*/nullptr, cls, /*count_bytes=*/false,
+      [server, chunk, out, cls, hold = std::move(hold)](uint64_t offset, uint64_t len,
+                                                         PieceLanded landed) {
+        server->HandleRecoveryRead(chunk, offset, len, out == nullptr ? nullptr : out + offset,
+                                   std::move(landed), cls);
+      },
+      std::move(done));
+}
+
+void Master::WriteChunkPieces(ChunkServer* target, ChunkId chunk, uint64_t size,
+                              const uint8_t* data, std::shared_ptr<void> hold,
+                              net::NodeId from_node, qos::ServiceClass cls,
+                              std::function<void(Status)> done, bool shielded) {
+  PumpPieces(
+      size, target, cls, /*count_bytes=*/true,
+      [this, target, chunk, data, from_node, cls, shielded, hold = std::move(hold)](
+          uint64_t offset, uint64_t len, PieceLanded landed) {
+        uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, len);
+        transport_->Send(from_node, target->node(), wire,
+                         [target, chunk, offset, len, data, cls, shielded,
+                          landed = std::move(landed)]() {
+                           auto piece_done = [landed](const Status& s) { landed(s, 0); };
+                           const uint8_t* src = data == nullptr ? nullptr : data + offset;
+                           if (shielded) {
+                             target->HandleBackfillWrite(chunk, offset, len,
+                                                         ursa::BufferView::Unowned(src, len),
+                                                         std::move(piece_done), cls);
+                           } else {
+                             target->HandleRecoveryWrite(chunk, offset, len, src,
+                                                         std::move(piece_done), cls);
+                           }
+                         });
+      },
+      [done = std::move(done)](Status s, uint64_t) { done(s); });
 }
 
 void Master::CompleteMigration(std::shared_ptr<MigrationOp> op, Status s) {
@@ -1224,31 +1205,8 @@ void Master::BeginWritePromote(ChunkId chunk, std::function<void(Status)> done) 
   auto ref = chunk_refs_.find(chunk);
   const DiskMeta& disk = disks_[ref->second.disk];
   const int replication = disk.replication;
-  std::vector<ServerId> targets;
-  std::vector<MachineId> used;
-  auto try_add = [this, chunk, &targets, &used](ServerId sid) {
-    ChunkServer* server = servers_[sid];
-    if (server->crashed() || server->HasChunk(chunk)) {
-      return;
-    }
-    targets.push_back(sid);
-    used.push_back(placement_.MachineOf(sid));
-  };
-  Result<std::vector<ServerId>> placed =
-      placement_.PlaceChunk(ref->second.index, replication, disk.id * 7919);
-  if (placed.ok()) {
-    for (ServerId sid : *placed) {
-      try_add(sid);
-    }
-  }
-  for (uint64_t salt = chunk;
-       static_cast<int>(targets.size()) < replication && salt < chunk + 2 * num_servers();
-       ++salt) {
-    Result<ServerId> cand = placement_.PlaceReplacement(targets.empty(), used, salt);
-    if (cand.ok()) {
-      try_add(*cand);
-    }
-  }
+  std::vector<ServerId> targets =
+      PlaceReplicaTargets(chunk, ref->second.index, replication, disk.id);
   if (static_cast<int>(targets.size()) < replication) {
     // Not enough healthy servers for the fast path; take the blocking one
     // (it shares the shortage, but also its retry/queueing machinery).
@@ -1430,25 +1388,11 @@ void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<SpecPass> pass) {
           // All k source shards are in; rebuild any dead data shards so the
           // image is complete before it streams out.
           if (carry && !plan.missing_data.empty()) {
-            std::vector<bool> present(n, false);
-            for (int i : plan.sources) {
-              present[i] = true;
-            }
-            ec::ReedSolomon::DecodePlan dplan;
-            Status ps = Codec(k, m)->PlanReconstruct(present, plan.missing_data, &dplan);
-            if (!ps.ok()) {
-              FailSpecPass(chunk, pass, ps);
+            Status rs = RebuildShards(k, m, plan.sources, plan.missing_data, slot, shard_size);
+            if (!rs.ok()) {
+              FailSpecPass(chunk, pass, rs);
               return;
             }
-            std::vector<const uint8_t*> shard_ptrs(n, nullptr);
-            for (int i : plan.sources) {
-              shard_ptrs[i] = slot(i);
-            }
-            std::vector<uint8_t*> outs(n, nullptr);
-            for (int t : plan.missing_data) {
-              outs[t] = slot(t);
-            }
-            Codec(k, m)->ReconstructWith(dplan, shard_ptrs, outs, shard_size);
           }
           // Stream the old image into every pass target through the write
           // shield: ranges the client already wrote are subtracted at apply
@@ -1986,33 +1930,17 @@ void Master::PromoteChunkNow(ChunkId chunk, bool write_triggered,
           }
           // All k source shards are in; rebuild any missing data shards.
           if (carry) {
-            std::vector<bool> present(n, false);
-            for (int i : sources) {
-              present[i] = true;
-            }
             std::vector<int> wanted;
             for (int d = 0; d < k; ++d) {
-              if (!present[d]) {
+              if (std::find(sources.begin(), sources.end(), d) == sources.end()) {
                 wanted.push_back(d);
               }
             }
-            if (!wanted.empty()) {
-              ec::ReedSolomon::DecodePlan plan;
-              Status ps = Codec(k, m)->PlanReconstruct(present, wanted, &plan);
-              if (!ps.ok()) {
-                ++tier_stats_.promote_failures;
-                CompleteMigration(op, ps);
-                return;
-              }
-              std::vector<const uint8_t*> shard_ptrs(n, nullptr);
-              for (int i : sources) {
-                shard_ptrs[i] = slot(i);
-              }
-              std::vector<uint8_t*> outs(n, nullptr);
-              for (int t : wanted) {
-                outs[t] = slot(t);
-              }
-              Codec(k, m)->ReconstructWith(plan, shard_ptrs, outs, shard_size);
+            Status rs = RebuildShards(k, m, sources, wanted, slot, shard_size);
+            if (!rs.ok()) {
+              ++tier_stats_.promote_failures;
+              CompleteMigration(op, rs);
+              return;
             }
           }
           // Place fresh replicas through the normal policy; top up around
@@ -2022,32 +1950,7 @@ void Master::PromoteChunkNow(ChunkId chunk, bool write_triggered,
             CompleteMigration(op, Aborted("layout changed"));
             return;
           }
-          std::vector<ServerId> targets;
-          std::vector<MachineId> used;
-          auto try_add = [this, chunk, &targets, &used](ServerId sid) {
-            ChunkServer* server = servers_[sid];
-            if (server->crashed() || server->HasChunk(chunk)) {
-              return;
-            }
-            targets.push_back(sid);
-            used.push_back(placement_.MachineOf(sid));
-          };
-          Result<std::vector<ServerId>> placed =
-              placement_.PlaceChunk(seq, replication, disk_id * 7919);
-          if (placed.ok()) {
-            for (ServerId sid : *placed) {
-              try_add(sid);
-            }
-          }
-          for (uint64_t salt = chunk;
-               static_cast<int>(targets.size()) < replication && salt < chunk + 2 * num_servers();
-               ++salt) {
-            Result<ServerId> cand =
-                placement_.PlaceReplacement(targets.empty(), used, salt);
-            if (cand.ok()) {
-              try_add(*cand);
-            }
-          }
+          std::vector<ServerId> targets = PlaceReplicaTargets(chunk, seq, replication, disk_id);
           if (static_cast<int>(targets.size()) < replication) {
             ++tier_stats_.promote_failures;
             CompleteMigration(op, ResourceExhausted("too few servers to re-replicate"));
@@ -2286,23 +2189,11 @@ void Master::RepairEcShardNow(ChunkId parent, int shard_index,
             return;
           }
           if (carry) {
-            std::vector<bool> present(n, false);
-            for (int i : sources) {
-              present[i] = true;
-            }
-            ec::ReedSolomon::DecodePlan plan;
-            Status ps = Codec(k, m)->PlanReconstruct(present, {shard_index}, &plan);
-            if (!ps.ok()) {
-              CompleteMigration(op, ps);
+            Status rs = RebuildShards(k, m, sources, {shard_index}, slot, shard_size);
+            if (!rs.ok()) {
+              CompleteMigration(op, rs);
               return;
             }
-            std::vector<const uint8_t*> shard_ptrs(n, nullptr);
-            for (int i : sources) {
-              shard_ptrs[i] = slot(i);
-            }
-            std::vector<uint8_t*> outs(n, nullptr);
-            outs[shard_index] = slot(shard_index);
-            Codec(k, m)->ReconstructWith(plan, shard_ptrs, outs, shard_size);
           }
           ChunkLayout* layout = FindLayout(parent);
           if (layout == nullptr || layout->tier != ChunkTier::kEc) {
@@ -2424,23 +2315,11 @@ void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
               return;
             }
             if (carry) {
-              std::vector<bool> present(n, false);
-              for (int i : sources) {
-                present[i] = true;
-              }
-              ec::ReedSolomon::DecodePlan plan;
-              Status ps = Codec(k, m)->PlanReconstruct(present, {target}, &plan);
-              if (!ps.ok()) {
-                CompleteMigration(op, ps);
+              Status rs = RebuildShards(k, m, sources, {target}, slot, length);
+              if (!rs.ok()) {
+                CompleteMigration(op, rs);
                 return;
               }
-              std::vector<const uint8_t*> shard_ptrs(n, nullptr);
-              for (int i : sources) {
-                shard_ptrs[i] = slot(i);
-              }
-              std::vector<uint8_t*> outs(n, nullptr);
-              outs[target] = slot(target);
-              Codec(k, m)->ReconstructWith(plan, shard_ptrs, outs, length);
             }
             uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, length);
             transport_->Send(

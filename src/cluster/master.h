@@ -351,6 +351,35 @@ class Master {
   // Picks `n` distinct alive servers, round-robining machines for spread.
   Result<std::vector<ServerId>> PickShardServers(int n, uint64_t salt) const;
 
+  // One piece's completion: its status and the source version it was read
+  // at (0 when the move reads nothing).
+  using PieceLanded = std::function<void(const Status&, uint64_t)>;
+  // Moves the piece [offset, offset + len) and calls `landed` once it is in.
+  using PieceMove = std::function<void(uint64_t offset, uint64_t len, PieceLanded landed)>;
+
+  // The one windowed copy pump behind TransferChunkNow, ReadChunkPieces and
+  // WriteChunkPieces: issues `recovery_piece_`-sized pieces of [0, size)
+  // through `move_piece`, at most `recovery_window_` in flight. With `gated`, it
+  // pauses while that server's device gate throttles `cls` and resumes on
+  // drain. `count_bytes` adds landed pieces to bytes_transferred. `done`
+  // runs once: with the first failure, or with the max version the pieces
+  // reported once all have landed.
+  void PumpPieces(uint64_t size, ChunkServer* gated, qos::ServiceClass cls, bool count_bytes,
+                  PieceMove move_piece, std::function<void(Status, uint64_t)> done);
+
+  // The replica set a promotion installs for `chunk` (the `seq`-th chunk of
+  // disk `disk_id`): the normal placement policy, topped up with
+  // replacements around crashed servers and servers already holding the
+  // chunk. May return fewer than `replication` servers.
+  std::vector<ServerId> PlaceReplicaTargets(ChunkId chunk, size_t seq, int replication,
+                                            DiskId disk_id) const;
+
+  // Rebuilds shards `wanted` of a k+m stripe from the k shards `sources`;
+  // shard i's bytes live at slot(i).
+  Status RebuildShards(int k, int m, const std::vector<int>& sources,
+                       const std::vector<int>& wanted, const std::function<uint8_t*(int)>& slot,
+                       uint64_t len);
+
   // Windowed piece pump reading [0, size) of `chunk` on `server` into `out`
   // (null = timing-only) under `cls`; `done(status, replica_version)`.
   // `hold` keeps the buffer behind `out` alive until every piece lands.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/loop.h"
 
 namespace ursa::cluster {
 
@@ -57,17 +58,17 @@ void UpgradeCoordinator::UpgradeAllServers(const std::string& version,
                                            std::function<bool(ServerId)> health_check,
                                            std::function<void(UpgradeReport)> done) {
   auto report = std::make_shared<UpgradeReport>();
-  auto next = std::make_shared<std::function<void(ServerId)>>();
   size_t total = cluster_->num_servers();
-  *next = [this, version, health_check = std::move(health_check), done = std::move(done),
-           report, next, total](ServerId id) mutable {
-    if (id >= total) {
+  Loop::Start([this, version, health_check = std::move(health_check), done = std::move(done),
+               report, total, next = ServerId{0}](const Loop& again) mutable {
+    if (next >= total) {
       done(*report);
       return;
     }
+    ServerId id = next++;
     UpgradeServer(
         id, version, [health_check, id]() { return !health_check || health_check(id); },
-        [this, id, report, next](bool ok) {
+        [report, id, again](bool ok) {
           if (ok) {
             ++report->upgraded;
             report->log.push_back("server " + std::to_string(id) + ": upgraded");
@@ -76,10 +77,9 @@ void UpgradeCoordinator::UpgradeAllServers(const std::string& version,
             report->log.push_back("server " + std::to_string(id) + ": rolled back");
           }
           // Confirm this upgrade behaves as expected before the next (§5.2).
-          (*next)(id + 1);
+          again();
         });
-  };
-  (*next)(0);
+  });
 }
 
 }  // namespace ursa::cluster

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/loop.h"
 #include "src/ec/gf256_kernels.h"
 
 namespace ursa::ec {
@@ -237,21 +238,18 @@ void EcStripeStore::Write(uint64_t offset, uint64_t length, const void* data,
   // target overlapping parity ranges, and concurrent read-xor-write parity
   // updates would lose deltas.
   if (!partials.empty()) {
-    auto idx = std::make_shared<size_t>(0);
-    auto exts = std::make_shared<std::vector<Extent>>(std::move(partials));
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [this, idx, exts, src, joiner, pump]() {
-      if (*idx >= exts->size()) {
+    Loop::Start([this, exts = std::move(partials), next = size_t{0}, src,
+                 joiner](const Loop& again) mutable {
+      if (next >= exts.size()) {
         return;
       }
-      const Extent& ext = (*exts)[(*idx)++];
+      const Extent& ext = exts[next++];
       const uint8_t* bytes = src == nullptr ? nullptr : src + ext.user_off;
-      PartialWriteExtent(ext, bytes, [joiner, pump](const Status& s) {
+      PartialWriteExtent(ext, bytes, [joiner, again](const Status& s) {
         joiner->Finish(s);
-        (*pump)();
+        again();
       });
-    };
-    (*pump)();
+    });
   }
 }
 
@@ -593,21 +591,20 @@ void EcStripeStore::RepairShardNow(int shard, storage::BlockDevice* replacement,
       return;
     }
     uint64_t u = config_.stripe_unit;
-    auto row = std::make_shared<uint64_t>(0);
-    auto step = std::make_shared<std::function<void()>>();
     auto done_shared = std::make_shared<storage::IoCallback>(std::move(done));
-    *step = [this, shard, replacement, row, step, u, done_shared]() {
-      if (*row >= rows_) {
+    Loop::Start([this, shard, replacement, u, done_shared,
+                 row = uint64_t{0}](const Loop& again) mutable {
+      if (row >= rows_) {
         devices_[shard] = replacement;
         alive_[shard] = true;
         (*done_shared)(OkStatus());
         return;
       }
-      uint64_t shard_off = *row * u;
-      Extent ext{*row, shard, shard_off, u, 0};
+      uint64_t shard_off = row * u;
+      Extent ext{row++, shard, shard_off, u, 0};
       auto buf = AcquireBuf(u, false);
       DegradedReadExtent(ext, buf->data(),
-                         [this, replacement, shard_off, u, buf, row, step,
+                         [replacement, shard_off, u, buf, again,
                           done_shared](const Status& s) {
                            if (!s.ok()) {
                              (*done_shared)(s);
@@ -618,17 +615,15 @@ void EcStripeStore::RepairShardNow(int shard, storage::BlockDevice* replacement,
                            req.offset = shard_off;
                            req.length = u;
                            req.data = buf->data();
-                           req.done = [buf, row, step](const Status& s2) {
+                           req.done = [buf, again](const Status& s2) {
                              if (!s2.ok()) {
                                return;  // dropped; caller times out
                              }
-                             ++*row;
-                             (*step)();
+                             again();
                            };
                            replacement->Submit(std::move(req));
                          });
-    };
-    (*step)();
+    });
   });
 }
 

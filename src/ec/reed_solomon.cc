@@ -185,11 +185,12 @@ void ReedSolomon::ReconstructWith(const DecodePlan& plan,
 Status ReedSolomon::Reconstruct(const std::vector<const uint8_t*>& shards,
                                 std::vector<uint8_t*> out, size_t len) const {
   URSA_CHECK_EQ(shards.size(), static_cast<size_t>(n()));
+  URSA_CHECK_EQ(out.size(), static_cast<size_t>(n()));
   std::vector<bool> present(n());
   std::vector<int> wanted;
   for (int i = 0; i < n(); ++i) {
     present[i] = shards[i] != nullptr;
-    if (!present[i]) {
+    if (!present[i] && out[i] != nullptr) {
       wanted.push_back(i);
     }
   }

@@ -88,9 +88,10 @@ class ReedSolomon {
     ReconstructWith(plan, shards, out, len, GfKernelBestTier());
   }
 
-  // Reconstructs the full stripe from any k surviving shards.
-  // `shards[i]` is shard i's bytes or nullptr if lost; lost shards must point
-  // at writable buffers in `out[i]`. Fails when fewer than k survive.
+  // Rebuilds lost shards from any k surviving ones. `shards[i]` is shard i's
+  // bytes or nullptr if lost; every lost shard with a writable buffer in
+  // `out[i]` is rebuilt there, and lost shards with a null `out[i]` are
+  // skipped. Fails with kUnavailable when fewer than k survive.
   // (Compiles a throwaway DecodePlan; hot paths cache one instead.)
   Status Reconstruct(const std::vector<const uint8_t*>& shards, std::vector<uint8_t*> out,
                      size_t len) const;

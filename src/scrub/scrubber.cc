@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/loop.h"
 
 namespace ursa::scrub {
 
@@ -31,8 +32,7 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
   sweep->buf.resize(std::min<uint64_t>(config_.read_bytes, chunk_size));
   sweep->done = std::move(done);
 
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, sweep, step] {
+  Loop::Start([this, sweep](const Loop& again) {
     if (sweep->offset >= sweep->chunk_size) {
       sweep->result.completed = true;
       ++chunks_scrubbed_;
@@ -47,7 +47,7 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
     // — the buffer may hold pre-write bytes for the sectors it touched.
     uint64_t gen = hooks_.generation ? hooks_.generation(sweep->chunk) : 0;
     hooks_.read(sweep->chunk, offset, length, sweep->buf.data(),
-                [this, sweep, step, offset, length, gen](const Status& st) {
+                [this, sweep, again, offset, length, gen](const Status& st) {
                   if (!st.ok()) {
                     // A journal-CRC hit: JournalManager::Read already
                     // quarantined the record and invoked the corruption
@@ -78,10 +78,9 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
                   }
                   // Yield between pieces so a scrub never occupies more than
                   // one device slot back to back.
-                  sim_->After(Nanos{0}, [step] { (*step)(); });
+                  sim_->After(Nanos{0}, again);
                 });
-  };
-  (*step)();
+  });
 }
 
 }  // namespace ursa::scrub

@@ -578,6 +578,32 @@ TEST_P(EcStoreTest, RepairRestoresRedundancy) {
   devices_.push_back(std::move(replacement));  // keep alive
 }
 
+// The sequential partial-extent pump and the row-by-row repair loop are
+// freed once they finish: neither keeps the caller's callback alive.
+TEST_P(EcStoreTest, FinishedPartialWriteAndRepairReleaseTheirCallbacks) {
+  Build();
+  ASSERT_TRUE(WriteSync(0, test::Pattern(8 * kUnit, 9)).ok());
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  auto patch = test::Pattern(2 * kUnit, 10);  // straddles three shards: partial extents
+  Status write = Internal("pending");
+  store_->Write(kUnit / 2, patch.size(), patch.data(),
+                [&write, sentinel](const Status& s) { write = s; });
+  sim_.RunUntil(sim_.Now() + sec(1));
+  ASSERT_TRUE(write.ok()) << write.ToString();
+  EXPECT_GE(store_->stats().partial_writes, 2u);
+
+  store_->FailShard(2);
+  auto replacement = std::make_unique<storage::MemDevice>(&sim_, 16 * kMiB, usec(20));
+  Status repair = Internal("pending");
+  store_->RepairShard(2, replacement.get(), [&repair, sentinel](const Status& s) { repair = s; });
+  sentinel.reset();
+  sim_.RunUntil(sim_.Now() + sec(5));
+  ASSERT_TRUE(repair.ok()) << repair.ToString();
+  EXPECT_TRUE(watch.expired());
+  devices_.push_back(std::move(replacement));  // keep alive
+}
+
 TEST_P(EcStoreTest, RandomizedDifferential) {
   Build();
   Rng rng(42);

@@ -153,6 +153,26 @@ TEST_F(RecoveryTest, DataIntegrityAfterFullRecoveryCycle) {
   }
 }
 
+// A full-copy recovery frees its piece pump (and the caller's callback)
+// once the copy completes.
+TEST_F(RecoveryTest, FinishedRecoveryReleasesItsCallback) {
+  Build();
+  ASSERT_TRUE(WriteSync(0, test::Pattern(64 * kKiB, 7)).ok());
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ServerId failed = layout.replicas[0].server;
+  cluster_->CrashServer(failed);
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  Status recovery = Internal("pending");
+  cluster_->master().ReportReplicaFailure(layout.chunk, failed,
+                                          [&recovery, sentinel](Status s) { recovery = s; });
+  sentinel.reset();
+  sim_.RunUntil(sim_.Now() + sec(20));
+  ASSERT_TRUE(recovery.ok()) << recovery.ToString();
+  EXPECT_GT(cluster_->master().recovery_stats().bytes_transferred, 0u);
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST_F(RecoveryTest, IncrementalRepairBringsLaggardCurrent) {
   Build();
   auto v1 = test::Pattern(4096, 6);

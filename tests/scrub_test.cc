@@ -343,6 +343,22 @@ TEST_F(ScrubberRearmTest, CoverageConvergesToFullAfterUnalignedWrites) {
   EXPECT_EQ(reports_, 0);
 }
 
+// The sweep loop holds itself only through its pending continuation: once
+// the chunk is scrubbed, the sweep state and the caller's callback are freed.
+TEST_F(ScrubberRearmTest, FinishedSweepReleasesItsCallback) {
+  ScrubConfig config;
+  config.read_bytes = 8 * kKiB;
+  Scrubber scrubber(&sim_, config, Hooks());
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  bool fired = false;
+  scrubber.ScrubChunk(1, kChunkSize, [&fired, sentinel](Scrubber::ChunkResult) { fired = true; });
+  sentinel.reset();
+  sim_.RunToCompletion();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST_F(ScrubberRearmTest, DisabledFlagLeavesSectorsSkipped) {
   auto data = test::Pattern(3 * kScrubSector, 9);
   std::copy(data.begin(), data.end(), media_.begin() + 100);

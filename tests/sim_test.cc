@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "src/common/loop.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
@@ -237,6 +239,54 @@ TEST(ResourceTest, ResubmitFromCompletionContinues) {
   sim.RunToCompletion();
   EXPECT_EQ(count, 5);
   EXPECT_EQ(sim.Now(), 50);
+}
+
+TEST(LoopTest, RunsUntilDoneThenReleasesItsCaptures) {
+  Simulator sim;
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  int steps = 0;
+  Loop::Start([&sim, &steps, sentinel](const Loop& again) {
+    if (++steps < 4) {
+      sim.After(10, again);
+    }
+  });
+  sentinel.reset();
+  EXPECT_EQ(steps, 1);
+  EXPECT_FALSE(watch.expired());  // the pending event holds the loop
+  sim.RunToCompletion();
+  EXPECT_EQ(steps, 4);
+  EXPECT_EQ(sim.Now(), 30);
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(LoopTest, AbandonedLoopIsReleasedWhenItsPendingEventIsCancelled) {
+  Simulator sim;
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  EventId pending = 0;
+  int steps = 0;
+  Loop::Start([&sim, &pending, &steps, sentinel](const Loop& again) {
+    ++steps;
+    pending = sim.After(10, again);
+  });
+  sentinel.reset();
+  sim.RunUntil(25);
+  EXPECT_EQ(steps, 3);
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(sim.Cancel(pending));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(LoopTest, UnstartedLoopRunsWhenScheduled) {
+  Simulator sim;
+  int steps = 0;
+  Loop loop([&steps](const Loop&) { ++steps; });
+  sim.After(5, std::move(loop));
+  EXPECT_EQ(steps, 0);
+  sim.RunToCompletion();
+  EXPECT_EQ(steps, 1);
 }
 
 }  // namespace

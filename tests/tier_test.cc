@@ -483,6 +483,30 @@ TEST_F(TierClusterTest, DemoteDegradedReadPromoteRoundTrip) {
   EXPECT_EQ(ReadSync(0, expected.size()), expected);
 }
 
+// Demotion and promotion free their piece pumps (and with them the copied
+// chunk image and the caller's callback) once each migration finishes.
+TEST_F(TierClusterTest, FinishedMigrationsReleaseTheirCallbacks) {
+  Build();
+  ASSERT_TRUE(WriteSync(0, test::Pattern(1 * kMiB, 23)).ok());
+  DrainReplay();
+  storage::ChunkId chunk = Layout(0).chunk;
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  Status demote = Internal("pending");
+  Status promote = Internal("pending");
+  cluster_->master().DemoteChunkToEc(chunk, 4, 2,
+                                     [&demote, sentinel](const Status& s) { demote = s; });
+  sim_.RunUntil(sim_.Now() + sec(30));
+  ASSERT_TRUE(demote.ok()) << demote.ToString();
+  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false,
+                                  [&promote, sentinel](const Status& s) { promote = s; });
+  sentinel.reset();
+  sim_.RunUntil(sim_.Now() + sec(30));
+  ASSERT_TRUE(promote.ok()) << promote.ToString();
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST_F(TierClusterTest, JournalBacklogAndDivergenceBlockDemotion) {
   Build();
   auto data = test::Pattern(256 * kKiB, 31);

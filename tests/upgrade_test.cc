@@ -136,6 +136,21 @@ TEST_F(UpgradeTest, RolloutContinuesPastFailures) {
   EXPECT_EQ(cluster_.server(1)->software_version(), "v4");
 }
 
+// The rollout loop is freed with its last step: nothing keeps the caller's
+// callback (or the health check) alive once the report is delivered.
+TEST_F(UpgradeTest, FinishedRolloutReleasesItsCallbacks) {
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  bool completed = false;
+  coordinator_.UpgradeAllServers(
+      "v5", [sentinel](ServerId) { return true; },
+      [&completed, sentinel](UpgradeReport) { completed = true; });
+  sentinel.reset();
+  sim_.RunUntil(sim_.Now() + sec(30));
+  ASSERT_TRUE(completed);
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST_F(UpgradeTest, ClientUpgradeBuffersAndResumesIo) {
   auto data1 = test::Pattern(4096, 3);
   ASSERT_TRUE(WriteSync(0, data1).ok());
