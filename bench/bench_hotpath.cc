@@ -8,12 +8,16 @@
 //   3. Buffer pass-through: a payload crossing N hops as memcpy-per-hop vs a
 //      ref-counted BufferView per hop (what the zero-copy write path does).
 //   4. Simulator EventQueue: schedule/fire and schedule/cancel rates (every
-//      simulated I/O, RPC, and timeout rides this queue).
+//      simulated I/O, RPC, and timeout rides this queue), and the mix a
+//      fleet simulation produces: ~2k live events with short delays plus an
+//      RPC timeout per ~14 events that is cancelled when the reply lands.
 //
 // Emits BENCH_hotpath.json (or the --metrics-json=<path> override) for the
 // CI bench-smoke regression gate.
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -211,6 +215,60 @@ EventResult BenchEvents() {
   return {fire_rate, cancel_rate};
 }
 
+// The fleet mix: kLive chains of events, each rescheduling itself after a
+// delay log-uniform in [256 ns, 256 us] (NIC, CPU and SSD service times).
+// Every kPerRpc hops a chain opens an RPC with an 800 ms timeout, which the
+// chain cancels kPerRpc hops later when the "reply" arrives, so cancelled
+// timeouts outnumber live events unless the queue drops them.
+double BenchEventMixNs() {
+  constexpr int kLive = 2048;
+  constexpr uint64_t kPerRpc = 14;
+  constexpr uint64_t kEvents = 4000000;
+  struct Chain {
+    uint64_t hops = 0;
+    sim::EventId timeout = 0;
+  };
+  struct Mix {
+    sim::EventQueue q;
+    Rng rng{99};
+    Nanos now = 0;
+    uint64_t fired = 0;
+    std::array<Nanos, 4096> delays{};
+    std::vector<Chain> chains = std::vector<Chain>(kLive);
+
+    void Hop(int c) {
+      ++fired;
+      Chain& chain = chains[c];
+      if (chain.hops % kPerRpc == 0) {
+        if (chain.timeout != 0) {
+          q.Cancel(chain.timeout);  // the previous RPC's reply landed
+        }
+        chain.timeout = q.Schedule(now + msec(800), []() {});
+      }
+      ++chain.hops;
+      q.Schedule(now + delays[rng.Uniform(delays.size())], [this, c]() { Hop(c); });
+    }
+  };
+  Mix mix;
+  for (Nanos& d : mix.delays) {
+    d = static_cast<Nanos>(std::exp2(8.0 + 10.0 * mix.rng.NextDouble()));
+  }
+  for (int c = 0; c < kLive; ++c) {
+    mix.q.Schedule(mix.delays[mix.rng.Uniform(mix.delays.size())], [&mix, c]() { mix.Hop(c); });
+  }
+  // Warm up to a steady state, then time.
+  while (mix.fired < kEvents / 4) {
+    mix.q.PopNext(&mix.now)();
+  }
+  const uint64_t start_fired = mix.fired;
+  auto t0 = Clock::now();
+  while (mix.fired < start_fired + kEvents) {
+    mix.q.PopNext(&mix.now)();
+  }
+  auto t1 = Clock::now();
+  return Seconds(t0, t1) * 1e9 / static_cast<double>(mix.fired - start_fired);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -257,6 +315,8 @@ int main(int argc, char** argv) {
   ev_table.AddRow({"schedule+fire", core::Table::Int(ev.fire_per_s)});
   ev_table.AddRow({"schedule+cancel", core::Table::Int(ev.cancel_per_s)});
   ev_table.Print();
+  const double mix_ns = BenchEventMixNs();
+  std::printf("fleet event mix (2k live, RPC timeouts cancelled): %.1f ns/event\n", mix_ns);
 
   std::string json_path = core::MetricsJsonPath(argc, argv);
   if (json_path.empty()) {
@@ -276,7 +336,9 @@ int main(int argc, char** argv) {
      << ",\"buffer_copy_hops_per_s\":" << buf.copy_hops_per_s
      << ",\"buffer_view_hops_per_s\":" << buf.view_hops_per_s
      << ",\"event_fire_per_s\":" << ev.fire_per_s
-     << ",\"event_cancel_per_s\":" << ev.cancel_per_s << "}\n";
+     << ",\"event_cancel_per_s\":" << ev.cancel_per_s
+     << ",\"event_mix_ns\":" << mix_ns
+     << ",\"event_mix_per_s\":" << 1e9 / mix_ns << "}\n";
   std::printf("\nmetrics written to %s\n", json_path.c_str());
   return 0;
 }

@@ -206,10 +206,6 @@ void VirtualDisk::Read(uint64_t offset, uint64_t length, void* out, storage::IoC
     return;
   }
   ++inflight_user_ops_;
-  done = [this, done = std::move(done)](const Status& s) {
-    --inflight_user_ops_;
-    done(s);
-  };
   ++stats_.reads;
   stats_.read_bytes += length;
   Nanos start = sim_->Now();
@@ -220,38 +216,46 @@ void VirtualDisk::Read(uint64_t offset, uint64_t length, void* out, storage::IoC
   }
 
   std::vector<SubRequest> subs = SplitRequest(offset, length);
-  auto remaining = std::make_shared<size_t>(subs.size());
-  auto first_error = std::make_shared<Status>();
-  auto finish = [this, start, remaining, first_error, span,
-                 done = std::move(done)](const Status& s) {
-    if (!s.ok() && first_error->ok()) {
-      *first_error = s;
-    }
-    if (--*remaining > 0) {
-      return;
-    }
-    // VMM/NBD fixed return-path cost, then the user callback.
-    sim_->After(options_.vmm_overhead,
-                [this, start, first_error, span, done = std::move(done)]() {
-      stats_.read_latency_us.Record(static_cast<int64_t>(ToUsec(sim_->Now() - start)));
-      if (qos::SloMonitor* slo = cluster_->slo_monitor()) {
-        slo->RecordForeground(sim_->Now() - start);
-      }
-      if (span != nullptr) {
-        cluster_->tracer().FinishSpan(span, sim_->Now());
-      }
-      done(*first_error);
-    });
-  };
+  auto io = std::make_shared<UserIo>();
+  io->start = start;
+  io->span = std::move(span);
+  io->out = out;
+  io->remaining = subs.size();
+  io->done = std::move(done);
 
   for (const SubRequest& sub : subs) {
-    void* dest = out == nullptr ? nullptr : static_cast<uint8_t*>(out) + sub.user_offset;
     // VMM/NBD entry cost, then the client loop issues the request.
-    sim_->After(options_.vmm_overhead, [this, sub, dest, finish, span]() {
-      loop_->Submit(options_.loop_issue_cost,
-                    [this, sub, dest, finish, span]() { IssueRead(sub, dest, 1, finish, span); });
+    sim_->After(options_.vmm_overhead, [this, sub, io]() {
+      loop_->Submit(options_.loop_issue_cost, [this, sub, io]() {
+        void* dest =
+            io->out == nullptr ? nullptr : static_cast<uint8_t*>(io->out) + sub.user_offset;
+        IssueRead(sub, dest, 1, [this, io](const Status& s) { FinishSub(io, s); }, io->span);
+      });
     });
   }
+}
+
+void VirtualDisk::FinishSub(const std::shared_ptr<UserIo>& io, const Status& s) {
+  if (!s.ok() && io->first_error.ok()) {
+    io->first_error = s;
+  }
+  if (--io->remaining > 0) {
+    return;
+  }
+  // VMM/NBD fixed return-path cost, then the user callback.
+  sim_->After(options_.vmm_overhead, [this, io]() {
+    const Nanos latency = sim_->Now() - io->start;
+    Histogram& hist = io->is_write ? stats_.write_latency_us : stats_.read_latency_us;
+    hist.Record(static_cast<int64_t>(ToUsec(latency)));
+    if (qos::SloMonitor* slo = cluster_->slo_monitor()) {
+      slo->RecordForeground(latency);
+    }
+    if (io->span != nullptr) {
+      cluster_->tracer().FinishSpan(io->span, sim_->Now());
+    }
+    --inflight_user_ops_;
+    io->done(io->first_error);
+  });
 }
 
 void VirtualDisk::IssueRead(const SubRequest& sub, void* out, int attempt,
@@ -270,55 +274,54 @@ void VirtualDisk::IssueRead(const SubRequest& sub, void* out, int attempt,
   ChunkState& cs = chunk_states_[sub.chunk_index];
   const ReplicaRef replica = layout.replicas[cs.primary % layout.replicas.size()];
 
-  auto replied_version = std::make_shared<uint64_t>(0);
-  auto guard = PendingCall::Start(
-      sim_, options_.request_timeout,
-      [this, sub, out, attempt, done, replied_version, span](const Status& s) {
-        Nanos copy_cost = static_cast<Nanos>(options_.loop_byte_cost_ns *
-                                             static_cast<double>(sub.length));
-        Nanos replied = sim_->Now();
-        loop_->Submit(options_.loop_complete_cost + (s.ok() ? copy_cost : 0),
-                      [this, sub, out, attempt, done, s, replied_version, replied, span]() {
-                        if (span != nullptr) {
-                          span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - replied);
-                        }
-                        if (s.ok()) {
-                          chunk_states_[sub.chunk_index].timeout_streak = 0;
-                          done(OkStatus());
-                          return;
-                        }
-                        if (s.code() == StatusCode::kVersionMismatch &&
-                            *replied_version > chunk_states_[sub.chunk_index].version) {
-                          chunk_states_[sub.chunk_index].version = *replied_version;
-                        }
-                        HandleAttemptFailure(sub, s, attempt, done, [this, sub, out, attempt,
-                                                                     done, span]() {
-                          IssueRead(sub, out, attempt + 1, done, span);
-                        });
-                      });
+  auto call = std::make_shared<Attempt>(Attempt{sub, attempt, out, {}, 0, span, std::move(done)});
+  auto guard = PendingCall::Start(sim_, options_.request_timeout, [this, call](const Status& s) {
+    call->status = s;
+    call->replied = sim_->Now();
+    Nanos copy_cost =
+        static_cast<Nanos>(options_.loop_byte_cost_ns * static_cast<double>(call->sub.length));
+    loop_->Submit(options_.loop_complete_cost + (s.ok() ? copy_cost : 0), [this, call]() {
+      const SubRequest& sub = call->sub;
+      const Status& s = call->status;
+      if (call->span != nullptr) {
+        call->span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - call->replied);
+      }
+      if (s.ok()) {
+        chunk_states_[sub.chunk_index].timeout_streak = 0;
+        call->done(OkStatus());
+        return;
+      }
+      if (s.code() == StatusCode::kVersionMismatch &&
+          call->replied_version > chunk_states_[sub.chunk_index].version) {
+        chunk_states_[sub.chunk_index].version = call->replied_version;
+      }
+      HandleAttemptFailure(sub, s, call->number, call->done, [this, call]() {
+        IssueRead(call->sub, call->out, call->number + 1, call->done, call->span);
       });
+    });
+  });
 
   uint64_t view = layout.view;
   uint64_t version = cs.version;
   ChunkId chunk = layout.chunk;
   cluster_->transport().Send(
       host_->node(), replica.node, WireBytes(MessageType::kReadRequest),
-      [this, replica, chunk, sub, view, version, out, guard, replied_version, span]() {
+      [this, replica, chunk, view, version, guard, call]() {
         ChunkServer* server = Server(replica.server);
         if (server == nullptr) {
           return;  // the guard's timeout handles it
         }
         server->HandleRead(
-            chunk, sub.chunk_offset, sub.length, view, version, out,
-            [this, replica, sub, guard, replied_version, span](const Status& s, uint64_t ver) {
-              *replied_version = ver;
-              uint64_t bytes = s.ok() ? sub.length : 0;
+            chunk, call->sub.chunk_offset, call->sub.length, view, version, call->out,
+            [this, replica, guard, call](const Status& s, uint64_t ver) {
+              call->replied_version = ver;
+              uint64_t bytes = s.ok() ? call->sub.length : 0;
               cluster_->transport().Send(replica.node, host_->node(),
                                          WireBytes(MessageType::kReadReply, bytes),
-                                         [guard, s]() { guard->Complete(s); }, span,
+                                         [guard, s]() { guard->Complete(s); }, call->span,
                                          obs::Stage::kNetReply);
             },
-            span);
+            call->span);
       },
       span, obs::Stage::kNetRequest);
 }
@@ -666,10 +669,6 @@ void VirtualDisk::Write(uint64_t offset, uint64_t length, ursa::BufferView data,
     return;
   }
   ++inflight_user_ops_;
-  done = [this, done = std::move(done)](const Status& s) {
-    --inflight_user_ops_;
-    done(s);
-  };
   ++stats_.writes;
   stats_.write_bytes += length;
   Nanos start = sim_->Now();
@@ -679,53 +678,22 @@ void VirtualDisk::Write(uint64_t offset, uint64_t length, ursa::BufferView data,
   }
 
   std::vector<SubRequest> subs = SplitRequest(offset, length);
+  auto io = std::make_shared<UserIo>();
+  io->start = start;
+  io->span = std::move(span);
+  io->is_write = true;
+  io->data = std::move(data);
+  io->remaining = subs.size();
+  io->done = std::move(done);
+
   for (SubRequest& sub : subs) {
     // Stable per-sub-write identity (survives retries); client id folded in
     // so concurrent clients never collide.
     sub.write_id = (client_id_ << 40) | ++next_write_id_;
-  }
-  auto remaining = std::make_shared<size_t>(subs.size());
-  auto first_error = std::make_shared<Status>();
-  auto finish = [this, start, remaining, first_error, span,
-                 done = std::move(done)](const Status& s) {
-    if (!s.ok() && first_error->ok()) {
-      *first_error = s;
-    }
-    if (--*remaining > 0) {
-      return;
-    }
-    sim_->After(options_.vmm_overhead,
-                [this, start, first_error, span, done = std::move(done)]() {
-      stats_.write_latency_us.Record(static_cast<int64_t>(ToUsec(sim_->Now() - start)));
-      if (qos::SloMonitor* slo = cluster_->slo_monitor()) {
-        slo->RecordForeground(sim_->Now() - start);
-      }
-      if (span != nullptr) {
-        cluster_->tracer().FinishSpan(span, sim_->Now());
-      }
-      done(*first_error);
-    });
-  };
-
-  for (const SubRequest& sub : subs) {
-    // Slice shares the payload's refcount; a null view slices to a null view.
-    ursa::BufferView src = data.Slice(sub.user_offset, sub.length);
-    sim_->After(options_.vmm_overhead, [this, sub, src, finish, span]() {
-      size_t idx = sub.chunk_index;
-      ChunkState& cs = chunk_states_[idx];
+    sim_->After(options_.vmm_overhead, [this, sub, io]() {
       // Writes to one chunk are ordered by version; queue and pipeline.
-      cs.write_queue.push_back(PendingWrite{
-          [this, sub, src, finish, idx, span]() {
-            IssueWrite(sub, src, 1,
-                       [this, finish, idx](const Status& s) {
-                         chunk_states_[idx].write_inflight = false;
-                         PumpWriteQueue(idx);
-                         finish(s);
-                       },
-                       span);
-          },
-          sub.length});
-      PumpWriteQueue(idx);
+      chunk_states_[sub.chunk_index].write_queue.push_back(PendingWrite{sub, io});
+      PumpWriteQueue(sub.chunk_index);
     });
   }
 }
@@ -739,8 +707,18 @@ void VirtualDisk::PumpWriteQueue(size_t chunk_index) {
   PendingWrite next = std::move(cs.write_queue.front());
   cs.write_queue.pop_front();
   Nanos copy_cost =
-      static_cast<Nanos>(options_.loop_byte_cost_ns * static_cast<double>(next.bytes));
-  loop_->Submit(options_.loop_issue_cost + copy_cost, std::move(next.fn));
+      static_cast<Nanos>(options_.loop_byte_cost_ns * static_cast<double>(next.sub.length));
+  loop_->Submit(options_.loop_issue_cost + copy_cost, [this, next = std::move(next)]() {
+    const SubRequest& sub = next.sub;
+    // Slice shares the payload's refcount; a null view slices to a null view.
+    IssueWrite(sub, next.io->data.Slice(sub.user_offset, sub.length), 1,
+               [this, idx = sub.chunk_index, io = next.io](const Status& s) {
+                 chunk_states_[idx].write_inflight = false;
+                 PumpWriteQueue(idx);
+                 FinishSub(io, s);
+               },
+               next.io->span);
+  });
 }
 
 void VirtualDisk::IssueWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
@@ -810,44 +788,38 @@ void VirtualDisk::ClientDirectedWrite(const SubRequest& sub, ursa::BufferView da
   int total = static_cast<int>(replicas.size());
   int majority = total / 2 + 1;
 
-  auto saw_mismatch = std::make_shared<bool>(false);
-  auto replied_version = std::make_shared<uint64_t>(0);
-
-  auto guard = PendingCall::Start(
-      sim_, options_.request_timeout,
-      [this, sub, data, attempt, done, version, saw_mismatch, replied_version,
-       span](const Status& s) {
-        Nanos replied = sim_->Now();
-        loop_->Submit(
-            options_.loop_complete_cost,
-            [this, sub, data, attempt, done, s, version, saw_mismatch, replied_version,
-             replied, span]() {
-              if (span != nullptr) {
-                span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - replied);
-              }
-              if (s.ok()) {
-                // This attempt committed exactly version+1. Concurrent reads
-                // (or earlier failed attempts) may have ALREADY adopted that
-                // number after observing our write applied at a replica, so
-                // a blind ++ here would double-count the same commit and
-                // strand the client one version above every replica forever.
-                ChunkState& ok_cs = chunk_states_[sub.chunk_index];
-                ok_cs.version = std::max(ok_cs.version, version + 1);
-                ok_cs.timeout_streak = 0;
-                done(OkStatus());
-                return;
-              }
-              Status effective = *saw_mismatch ? VersionMismatch("replica ahead/behind") : s;
-              if (*saw_mismatch &&
-                  *replied_version > chunk_states_[sub.chunk_index].version) {
-                chunk_states_[sub.chunk_index].version = *replied_version;
-              }
-              HandleAttemptFailure(sub, effective, attempt, done,
-                                   [this, sub, data, attempt, done, span]() {
-                                     IssueWriteAttempt(sub, data, attempt + 1, done, span);
-                                   });
-            });
+  auto call = std::make_shared<Attempt>(
+      Attempt{sub, attempt, nullptr, std::move(data), version, span, std::move(done)});
+  auto guard = PendingCall::Start(sim_, options_.request_timeout, [this, call](const Status& s) {
+    call->status = s;
+    call->replied = sim_->Now();
+    loop_->Submit(options_.loop_complete_cost, [this, call]() {
+      const SubRequest& sub = call->sub;
+      if (call->span != nullptr) {
+        call->span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - call->replied);
+      }
+      if (call->status.ok()) {
+        // This attempt committed exactly version+1. Concurrent reads (or
+        // earlier failed attempts) may have ALREADY adopted that number
+        // after observing our write applied at a replica, so a blind ++
+        // here would double-count the same commit and strand the client one
+        // version above every replica forever.
+        ChunkState& ok_cs = chunk_states_[sub.chunk_index];
+        ok_cs.version = std::max(ok_cs.version, call->version + 1);
+        ok_cs.timeout_streak = 0;
+        call->done(OkStatus());
+        return;
+      }
+      Status effective =
+          call->saw_mismatch ? VersionMismatch("replica ahead/behind") : call->status;
+      if (call->saw_mismatch && call->replied_version > chunk_states_[sub.chunk_index].version) {
+        chunk_states_[sub.chunk_index].version = call->replied_version;
+      }
+      HandleAttemptFailure(sub, effective, call->number, call->done, [this, call]() {
+        IssueWriteAttempt(call->sub, call->data, call->number + 1, call->done, call->span);
       });
+    });
+  });
 
   auto tracker = std::make_shared<QuorumTracker>(
       total, majority,
@@ -862,14 +834,13 @@ void VirtualDisk::ClientDirectedWrite(const SubRequest& sub, ursa::BufferView da
       });
   sim::EventId commit_timer =
       sim_->After(options_.commit_timeout, [tracker]() { tracker->TimeoutExpired(); });
-  auto leg = [this, tracker, commit_timer, saw_mismatch, replied_version](const Status& s,
-                                                                          uint64_t ver) {
+  auto leg = [this, tracker, commit_timer, call](const Status& s, uint64_t ver) {
     if (s.ok()) {
       tracker->RecordSuccess();
     } else {
       if (s.code() == StatusCode::kVersionMismatch) {
-        *saw_mismatch = true;
-        *replied_version = std::max(*replied_version, ver);
+        call->saw_mismatch = true;
+        call->replied_version = std::max(call->replied_version, ver);
       }
       tracker->RecordFailure();
     }
@@ -896,20 +867,20 @@ void VirtualDisk::ClientDirectedWrite(const SubRequest& sub, ursa::BufferView da
     };
     cluster_->transport().Send(
         host_->node(), replica.node, WireBytes(MessageType::kReplicate, sub.length),
-        [this, replica, chunk, sub, view, version, data, leg_once, span]() {
+        [this, replica, chunk, view, call, leg_once]() {
           ChunkServer* server = Server(replica.server);
           if (server == nullptr) {
             return;  // silent drop; timeout/quorum handles it
           }
           server->HandleReplicate(
-              chunk, sub.chunk_offset, sub.length, view, version, data,
-              [this, replica, leg_once, span](const Status& s, uint64_t ver) {
+              chunk, call->sub.chunk_offset, call->sub.length, view, call->version, call->data,
+              [this, replica, leg_once, span = call->span](const Status& s, uint64_t ver) {
                 cluster_->transport().Send(replica.node, host_->node(),
                                            WireBytes(MessageType::kReplicateReply),
                                            [leg_once, s, ver]() { leg_once(s, ver); }, span,
                                            obs::Stage::kNetReply);
               },
-              span, sub.write_id);
+              call->span, call->sub.write_id);
         },
         span, obs::Stage::kNetRequest);
   }
@@ -933,57 +904,55 @@ void VirtualDisk::PrimaryDrivenWrite(const SubRequest& sub, ursa::BufferView dat
   uint64_t version = cs.version;
   ChunkId chunk = layout.chunk;
 
-  auto replied_version = std::make_shared<uint64_t>(0);
-  auto guard = PendingCall::Start(
-      sim_, options_.request_timeout,
-      [this, sub, data, attempt, done, version, replied_version, span](const Status& s) {
-        Nanos replied = sim_->Now();
-        loop_->Submit(options_.loop_complete_cost, [this, sub, data, attempt, done, s,
-                                                    version, replied_version, replied,
-                                                    span]() {
-          if (span != nullptr) {
-            span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - replied);
-          }
-          if (s.ok()) {
-            // Commit is idempotent against concurrent version adoption (see
-            // ClientDirectedWrite): this attempt committed version+1 — the
-            // primary's replied new_version — never a blind increment.
-            ChunkState& ok_cs = chunk_states_[sub.chunk_index];
-            ok_cs.version = std::max({ok_cs.version, version + 1, *replied_version});
-            ok_cs.timeout_streak = 0;
-            done(OkStatus());
-            return;
-          }
-          if (s.code() == StatusCode::kVersionMismatch &&
-              *replied_version > chunk_states_[sub.chunk_index].version) {
-            chunk_states_[sub.chunk_index].version = *replied_version;
-          }
-          HandleAttemptFailure(sub, s, attempt, done, [this, sub, data, attempt, done,
-                                                       span]() {
-            IssueWriteAttempt(sub, data, attempt + 1, done, span);
-          });
-        });
+  auto call = std::make_shared<Attempt>(
+      Attempt{sub, attempt, nullptr, std::move(data), version, span, std::move(done)});
+  auto guard = PendingCall::Start(sim_, options_.request_timeout, [this, call](const Status& s) {
+    call->status = s;
+    call->replied = sim_->Now();
+    loop_->Submit(options_.loop_complete_cost, [this, call]() {
+      const SubRequest& sub = call->sub;
+      const Status& s = call->status;
+      if (call->span != nullptr) {
+        call->span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - call->replied);
+      }
+      if (s.ok()) {
+        // Commit is idempotent against concurrent version adoption (see
+        // ClientDirectedWrite): this attempt committed version+1 — the
+        // primary's replied new_version — never a blind increment.
+        ChunkState& ok_cs = chunk_states_[sub.chunk_index];
+        ok_cs.version = std::max({ok_cs.version, call->version + 1, call->replied_version});
+        ok_cs.timeout_streak = 0;
+        call->done(OkStatus());
+        return;
+      }
+      if (s.code() == StatusCode::kVersionMismatch &&
+          call->replied_version > chunk_states_[sub.chunk_index].version) {
+        chunk_states_[sub.chunk_index].version = call->replied_version;
+      }
+      HandleAttemptFailure(sub, s, call->number, call->done, [this, call]() {
+        IssueWriteAttempt(call->sub, call->data, call->number + 1, call->done, call->span);
       });
+    });
+  });
 
   cluster_->transport().Send(
       host_->node(), primary.node, WireBytes(MessageType::kWriteRequest, sub.length),
-      [this, primary, chunk, sub, view, version, data, backups = std::move(backups), guard,
-       replied_version, span]() {
+      [this, primary, chunk, view, backups = std::move(backups), guard, call]() {
         ChunkServer* server = Server(primary.server);
         if (server == nullptr) {
           return;
         }
         server->HandleWrite(
-            chunk, sub.chunk_offset, sub.length, view, version, data, backups,
-            [this, primary, guard, replied_version, span](const Status& s,
-                                                          uint64_t new_version) {
-              *replied_version = new_version;
+            chunk, call->sub.chunk_offset, call->sub.length, view, call->version, call->data,
+            backups,
+            [this, primary, guard, call](const Status& s, uint64_t new_version) {
+              call->replied_version = new_version;
               cluster_->transport().Send(primary.node, host_->node(),
                                          WireBytes(MessageType::kWriteReply),
-                                         [guard, s]() { guard->Complete(s); }, span,
+                                         [guard, s]() { guard->Complete(s); }, call->span,
                                          obs::Stage::kNetReply);
             },
-            span, sub.write_id);
+            call->span, call->sub.write_id);
       },
       span, obs::Stage::kNetRequest);
 }

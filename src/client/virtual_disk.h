@@ -151,9 +151,43 @@ class VirtualDisk {
     uint64_t write_id = 0;
   };
 
+  // One user request, joined across its sub-requests. The user callback
+  // moves in here once; the continuations of the sub-requests share the
+  // join instead of each holding a copy of the callback.
+  struct UserIo {
+    Nanos start = 0;
+    obs::SpanRef span;
+    bool is_write = false;
+    void* out = nullptr;      // reads: the user buffer (may be null)
+    ursa::BufferView data;    // writes: the payload (may be null)
+    size_t remaining = 0;     // sub-requests not yet finished
+    Status first_error;
+    storage::IoCallback done;
+  };
+
+  // One attempt of a replica RPC: a read, or a client-directed or
+  // primary-driven write. Its hops share it instead of each copying the
+  // callback, and the RPC guard keeps it alive while any hop is in flight:
+  // the callback's captures may own the raw buffer the request points at,
+  // so they must outlive a late or duplicated message, not only the reply.
+  struct Attempt {
+    SubRequest sub;
+    int number = 1;
+    void* out = nullptr;     // reads: where the bytes land
+    ursa::BufferView data;   // writes: the payload
+    uint64_t version = 0;    // writes: the chunk version written on
+    obs::SpanRef span;
+    storage::IoCallback done;
+    uint64_t replied_version = 0;  // highest version a replica reported
+    bool saw_mismatch = false;     // a client-directed leg said kVersionMismatch
+    Status status{};               // the guard's verdict
+    Nanos replied = 0;             // when the guard fired
+  };
+
+  // A sub-write waiting its turn in its chunk's version order.
   struct PendingWrite {
-    std::function<void()> fn;
-    uint64_t bytes = 0;  // payload size, for the per-byte loop cost
+    SubRequest sub;
+    std::shared_ptr<UserIo> io;
   };
 
   struct ChunkState {
@@ -171,6 +205,10 @@ class VirtualDisk {
 
   // Maps a logical byte range to per-chunk sub-requests (striping).
   std::vector<SubRequest> SplitRequest(uint64_t offset, uint64_t length) const;
+
+  // Joins a finished sub-request into its user request; the last one pays
+  // the VMM return-path cost and completes the request.
+  void FinishSub(const std::shared_ptr<UserIo>& io, const Status& s);
 
   // The span (null when the request is unsampled) rides along every attempt;
   // retries max-merge into the same span, inflating kClientIssue — acceptable

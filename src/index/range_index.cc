@@ -1,6 +1,7 @@
 #include "src/index/range_index.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "src/common/logging.h"
 
@@ -19,6 +20,12 @@ void EmitSegment(SegmentVec* out, uint32_t off, uint32_t len, uint64_t j, bool m
   }
   out->push_back(Segment{off, len, j, mapped});
 }
+
+// CountMapped's sink: counts the mapped segments a query would return.
+struct MappedCount {
+  size_t n = 0;
+  void push_back(const Segment&) { ++n; }
+};
 
 }  // namespace
 
@@ -232,8 +239,22 @@ size_t RangeIndex::ArrayLowerBound(uint32_t v) const {
   return i + (n == 1 && base->offset() < v ? 1 : 0);
 }
 
-void RangeIndex::QueryArrayInto(uint32_t lo, uint32_t hi, bool mapped_only, uint32_t* pos,
-                                SegmentVec* out) const {
+template <bool kMappedOnly, typename Out>
+void RangeIndex::QueryArrayInto(uint32_t lo, uint32_t hi, uint32_t* pos, Out* out) const {
+  if constexpr (std::is_same_v<Out, MappedCount>) {
+    // Array entries are sorted and never overlap, so the ones meeting
+    // [lo, hi) form an index range: its length is the count, with no walk.
+    if (!array_.empty() && lo < hi) {
+      size_t first = ArrayLowerBound(lo);
+      if (first > 0 && array_[first - 1].end() > lo) {
+        --first;  // the predecessor straddles lo
+      }
+      size_t last = hi > kMaxOffset ? array_.size() : ArrayLowerBound(hi);
+      out->n += last - first;
+    }
+    *pos = std::max(*pos, hi);
+    return;
+  }
   if (!array_.empty()) {
     size_t i = ArrayLowerBound(lo);
     // The predecessor may straddle lo.
@@ -247,15 +268,17 @@ void RangeIndex::QueryArrayInto(uint32_t lo, uint32_t hi, bool mapped_only, uint
       if (e_lo >= e_hi) {
         continue;
       }
-      if (*pos < e_lo && !mapped_only) {
-        EmitSegment(out, *pos, e_lo - *pos, 0, false);
+      if constexpr (!kMappedOnly) {
+        if (*pos < e_lo) {
+          EmitSegment(out, *pos, e_lo - *pos, 0, false);
+        }
       }
       out->push_back(Segment{e_lo, e_hi - e_lo, p.j_offset() + (e_lo - p.offset()), true});
       *pos = e_hi;
     }
   }
   if (*pos < hi) {
-    if (!mapped_only) {
+    if constexpr (!kMappedOnly) {
       EmitSegment(out, *pos, hi - *pos, 0, false);
     }
     *pos = hi;
@@ -280,7 +303,8 @@ void RangeIndex::PrefetchArrayWindow(uint32_t v) const {
   }
 }
 
-void RangeIndex::QueryInto(uint32_t lo, uint32_t hi, bool mapped_only, SegmentVec* out) const {
+template <bool kMappedOnly, typename Out>
+void RangeIndex::QueryInto(uint32_t lo, uint32_t hi, Out* out) const {
   PrefetchArrayWindow(lo);
   uint32_t pos = lo;
   auto it = tree_.lower_bound(lo);
@@ -297,10 +321,10 @@ void RangeIndex::QueryInto(uint32_t lo, uint32_t hi, bool mapped_only, SegmentVe
       continue;
     }
     if (pos < e_lo) {
-      QueryArrayInto(pos, e_lo, mapped_only, &pos, out);  // gap -> level 1
+      QueryArrayInto<kMappedOnly>(pos, e_lo, &pos, out);  // gap -> level 1
     }
     if (it->second.tombstone) {
-      if (!mapped_only) {
+      if constexpr (!kMappedOnly) {
         EmitSegment(out, e_lo, e_hi - e_lo, 0, false);
       }
     } else {
@@ -310,7 +334,7 @@ void RangeIndex::QueryInto(uint32_t lo, uint32_t hi, bool mapped_only, SegmentVe
     pos = e_hi;
   }
   if (pos < hi) {
-    QueryArrayInto(pos, hi, mapped_only, &pos, out);
+    QueryArrayInto<kMappedOnly>(pos, hi, &pos, out);
   }
 }
 
@@ -319,7 +343,7 @@ void RangeIndex::QueryTo(uint32_t offset, uint32_t length, SegmentVec* out) cons
   if (length == 0) {
     return;
   }
-  QueryInto(offset, offset + length, /*mapped_only=*/false, out);
+  QueryInto</*kMappedOnly=*/false>(offset, offset + length, out);
 }
 
 void RangeIndex::QueryMappedTo(uint32_t offset, uint32_t length, SegmentVec* out) const {
@@ -327,7 +351,15 @@ void RangeIndex::QueryMappedTo(uint32_t offset, uint32_t length, SegmentVec* out
   if (length == 0) {
     return;
   }
-  QueryInto(offset, offset + length, /*mapped_only=*/true, out);
+  QueryInto</*kMappedOnly=*/true>(offset, offset + length, out);
+}
+
+size_t RangeIndex::CountMapped(uint32_t offset, uint32_t length) const {
+  MappedCount count;
+  if (length > 0) {
+    QueryInto</*kMappedOnly=*/true>(offset, offset + length, &count);
+  }
+  return count.n;
 }
 
 void RangeIndex::Compact() {

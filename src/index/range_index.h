@@ -131,6 +131,11 @@ class RangeIndex {
   void QueryTo(uint32_t offset, uint32_t length, SegmentVec* out) const;
   void QueryMappedTo(uint32_t offset, uint32_t length, SegmentVec* out) const;
 
+  // QueryMapped(offset, length).size(), without building the segments: the
+  // walk visits the tree level's entries only and counts the array entries
+  // between them by binary search.
+  size_t CountMapped(uint32_t offset, uint32_t length) const;
+
   // Folds the tree level into the array level. Normally triggered
   // automatically; exposed for benchmarks that want paper-like level sizes.
   void Compact();
@@ -196,9 +201,12 @@ class RangeIndex {
   // Streams the fence window for offset v into cache; issued before the tree
   // walk so the array misses overlap the tree's pointer chase.
   void PrefetchArrayWindow(uint32_t v) const;
-  void QueryInto(uint32_t lo, uint32_t hi, bool mapped_only, SegmentVec* out) const;
-  void QueryArrayInto(uint32_t lo, uint32_t hi, bool mapped_only, uint32_t* pos,
-                      SegmentVec* out) const;
+  // `Out` is a SegmentVec, or with kMappedOnly CountMapped's counting sink
+  // (which counts array runs by index arithmetic instead of visiting them).
+  template <bool kMappedOnly, typename Out>
+  void QueryInto(uint32_t lo, uint32_t hi, Out* out) const;
+  template <bool kMappedOnly, typename Out>
+  void QueryArrayInto(uint32_t lo, uint32_t hi, uint32_t* pos, Out* out) const;
 
   void MaybeCompact();
 

@@ -79,9 +79,7 @@ const JournalStats& JournalManager::stats() const {
 uint64_t JournalManager::BacklogBytes() const {
   uint64_t total = 0;
   for (const JournalSlot& slot : journals_) {
-    for (const AppendedRecord& rec : slot.writer->pending()) {
-      total += rec.length;
-    }
+    total += slot.writer->pending_bytes();
   }
   return total;
 }
@@ -97,7 +95,7 @@ uint64_t JournalManager::PendingRecords() const {
 uint64_t JournalManager::IndexSegments() const {
   uint64_t total = 0;
   for (const auto& [chunk, index] : indexes_) {
-    total += index.QueryMapped(0, index::kMaxOffset).size();
+    total += index.CountMapped(0, index::kMaxOffset);
   }
   return total;
 }

@@ -63,6 +63,7 @@ Result<uint64_t> JournalWriter::AppendInvalidation(storage::ChunkId chunk_id,
   meta.invalidation = true;
   meta.appended_at = sim_->Now();
   pending_.push_back(meta);
+  pending_bytes_ += meta.length;
 
   ursa::Buffer image = ursa::Buffer::AllocateZeroed(kSector);
   header.crc = header.ComputeCrc(nullptr);
@@ -147,6 +148,7 @@ Result<uint64_t> JournalWriter::Append(storage::ChunkId chunk_id, uint32_t chunk
     req.hold2 = hdr.View();      // header sector
   }
   pending_.push_back(meta);
+  pending_bytes_ += meta.length;
   req.done = std::move(done);
   device_->Submit(std::move(req));
   return meta.j_offset;
@@ -282,8 +284,10 @@ void JournalWriter::CorruptByte(uint64_t region_byte, uint8_t xor_mask) {
 void JournalWriter::RestorePending(std::vector<AppendedRecord> records) {
   pending_.assign(records.begin(), records.end());
   uint64_t head = 0;
+  pending_bytes_ = 0;
   for (const AppendedRecord& rec : pending_) {
     head = std::max(head, rec.record_start + rec.footprint());
+    pending_bytes_ += rec.length;
   }
   // Conservative restart: treat [0, head) as occupied until replay frees it.
   logical_tail_ = 0;
@@ -304,6 +308,7 @@ void JournalWriter::PopFrontAndFree(Nanos horizon) {
   URSA_CHECK_GE(new_tail, logical_tail_);
   logical_tail_ = new_tail;
   freed_.push_back(FreedRecord{front.logical_start, front.appended_at});
+  pending_bytes_ -= front.length;
   pending_.pop_front();
   if (pending_.empty()) {
     // Everything merged: resynchronize the tail with the head so pad bytes

@@ -133,6 +133,8 @@ class JournalWriter {
   // trims the space it passed (see Trim for `horizon`).
   const std::deque<AppendedRecord>& pending() const { return pending_; }
   bool HasPending() const { return !pending_.empty(); }
+  // Sum of `length` over pending(), kept as the queue changes.
+  uint64_t pending_bytes() const { return pending_bytes_; }
   static constexpr Nanos kNever = std::numeric_limits<Nanos>::max();
   void PopFrontAndFree(Nanos horizon = kNever);
 
@@ -228,6 +230,7 @@ class JournalWriter {
   uint64_t logical_tail_ = 0;  // monotone free position
   uint64_t appended_records_ = 0;
   std::deque<AppendedRecord> pending_;
+  uint64_t pending_bytes_ = 0;
 
   // Trim state. Space below `logical_trimmed_` is discarded. `freed_` holds
   // the records the tail has passed but the cursor has not (in ring order),

@@ -18,14 +18,21 @@
 
 namespace ursa::net {
 
-class PendingCall : public std::enable_shared_from_this<PendingCall> {
+class PendingCall {
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
   using Callback = std::function<void(const Status&)>;
+
+  // Only Start can name the key; public so make_shared can construct.
+  PendingCall(Key, Callback done) : done_(std::move(done)) {}
 
   // Creates a pending call; if `timeout` > 0 and no reply arrives within it,
   // `done` fires with kTimedOut.
   static std::shared_ptr<PendingCall> Start(sim::Simulator* sim, Nanos timeout, Callback done) {
-    auto call = std::shared_ptr<PendingCall>(new PendingCall(std::move(done)));
+    auto call = std::make_shared<PendingCall>(Key{}, std::move(done));
     if (timeout > 0) {
       // The timeout holds a STRONG reference: a crashed server silently drops
       // the request, and if every other reference dies with the dropped
@@ -54,8 +61,6 @@ class PendingCall : public std::enable_shared_from_this<PendingCall> {
   bool completed() const { return completed_; }
 
  private:
-  explicit PendingCall(Callback done) : done_(std::move(done)) {}
-
   Callback done_;
   bool completed_ = false;
   bool has_timeout_ = false;

@@ -71,16 +71,11 @@ void Transport::SetLinkBroken(NodeId a, NodeId b, bool broken) {
 
 void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver,
                      const obs::SpanRef& span, obs::Stage stage) {
-  if (span == nullptr) {
-    Send(from, to, payload_bytes, std::move(deliver));
-    return;
-  }
-  Nanos sent = sim_->Now();
-  Send(from, to, payload_bytes,
-       [this, span, stage, sent, deliver = std::move(deliver)]() mutable {
-         span->RecordStage(stage, sim_->Now() - sent);
-         deliver();
-       });
+  Post(from, to, payload_bytes, std::move(deliver), span, stage);
+}
+
+void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver) {
+  Post(from, to, payload_bytes, std::move(deliver), nullptr, obs::Stage::kNetRequest);
 }
 
 void Transport::RegisterMetrics(obs::MetricsRegistry* registry) {
@@ -159,7 +154,8 @@ void Transport::SendCoalesced(NodeId from, NodeId to, uint64_t payload_bytes,
   });
 }
 
-void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver) {
+void Transport::Post(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver,
+                     obs::SpanRef span, obs::Stage stage) {
   URSA_CHECK_LT(from, nodes_.size());
   URSA_CHECK_LT(to, nodes_.size());
   Node& src = *nodes_[from];
@@ -190,14 +186,11 @@ void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventF
   uint64_t wire_bytes = payload_bytes + src.params.overhead_bytes;
   src.bytes_out += wire_bytes;
 
+  InFlight msg{std::move(deliver), std::move(span), stage, sim_->Now(), to, wire_bytes};
   if (from == to) {
     // Loopback: no NIC occupancy, just a scheduler hop.
-    sim_->After(usec(2) + chaos_delay,
-                [this, &dst, wire_bytes, deliver = std::move(deliver)]() mutable {
-                  dst.bytes_in += wire_bytes;
-                  ++messages_delivered_;
-                  deliver();
-                });
+    const uint32_t slot = in_flight_.Put(std::move(msg));
+    sim_->After(usec(2) + chaos_delay, [this, slot]() { Complete(slot); });
     return;
   }
 
@@ -210,18 +203,17 @@ void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventF
       dup_delay += static_cast<Nanos>(ChaosRng().Uniform(static_cast<uint64_t>(rule->jitter) + 1));
     }
     src.bytes_out += wire_bytes;
-    Transmit(from, to, wire_bytes, dup_delay, deliver);  // copies the closure
+    Transmit(from, to, dup_delay, msg);  // copies the closure
   }
-  Transmit(from, to, wire_bytes, chaos_delay, std::move(deliver));
+  Transmit(from, to, chaos_delay, std::move(msg));
 }
 
-void Transport::Transmit(NodeId from, NodeId to, uint64_t wire_bytes, Nanos extra_propagation,
-                         sim::EventFn deliver) {
+void Transport::Transmit(NodeId from, NodeId to, Nanos extra_propagation, InFlight msg) {
   Node& src = *nodes_[from];
   Node& dst = *nodes_[to];
 
-  Nanos tx_time = TransferTime(wire_bytes, src.params.nic_bw);
-  Nanos rx_time = TransferTime(wire_bytes, dst.params.nic_bw);
+  Nanos tx_time = TransferTime(msg.wire_bytes, src.params.nic_bw);
+  msg.rx_time = TransferTime(msg.wire_bytes, dst.params.nic_bw);
   Nanos propagation = src.params.propagation + extra_propagation;
 
   // LACP-style flow pinning: the (from,to) pair always uses the same NIC
@@ -229,29 +221,38 @@ void Transport::Transmit(NodeId from, NodeId to, uint64_t wire_bytes, Nanos extr
   uint64_t flow_hash = (static_cast<uint64_t>(from) * 0x9E3779B1u) ^
                        (static_cast<uint64_t>(to) * 0x85EBCA77u);
   size_t tx_nic = flow_hash % src.egress.size();
-  size_t rx_nic = flow_hash % dst.ingress.size();
+  msg.rx_nic = flow_hash % dst.ingress.size();
 
-  src.egress[tx_nic]->Submit(
-      tx_time, [this, to, wire_bytes, rx_time, rx_nic, propagation,
-                deliver = std::move(deliver)]() mutable {
-        sim_->After(propagation, [this, to, wire_bytes, rx_time, rx_nic,
-                                  deliver = std::move(deliver)]() mutable {
-          Node& dst2 = *nodes_[to];
-          if (dst2.down) {
-            return;  // destination died while in flight
-          }
-          dst2.ingress[rx_nic]->Submit(rx_time, [this, to, wire_bytes,
-                                                 deliver = std::move(deliver)]() mutable {
-            Node& dst3 = *nodes_[to];
-            if (dst3.down) {
-              return;
-            }
-            dst3.bytes_in += wire_bytes;
-            ++messages_delivered_;
-            deliver();
-          });
-        });
-      });
+  const uint32_t slot = in_flight_.Put(std::move(msg));
+  src.egress[tx_nic]->Submit(tx_time, [this, slot, propagation]() {
+    sim_->After(propagation, [this, slot]() { Arrive(slot); });
+  });
+}
+
+void Transport::Arrive(uint32_t slot) {
+  InFlight& msg = in_flight_[slot];
+  Node& dst = *nodes_[msg.to];
+  if (dst.down) {
+    Drop(slot);  // destination died while in flight
+    return;
+  }
+  dst.ingress[msg.rx_nic]->Submit(msg.rx_time, [this, slot]() {
+    if (nodes_[in_flight_[slot].to]->down) {
+      Drop(slot);
+      return;
+    }
+    Complete(slot);
+  });
+}
+
+void Transport::Complete(uint32_t slot) {
+  InFlight msg = in_flight_.Take(slot);
+  nodes_[msg.to]->bytes_in += msg.wire_bytes;
+  ++messages_delivered_;
+  if (msg.span != nullptr) {
+    msg.span->RecordStage(msg.stage, sim_->Now() - msg.sent);
+  }
+  msg.deliver();
 }
 
 }  // namespace ursa::net

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/slot_table.h"
 #include "src/common/units.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
@@ -157,16 +158,41 @@ class Transport {
     std::vector<sim::EventFn> delivers;
   };
 
+  // A message on the wire. The transport keeps it here from send to
+  // delivery, and the events of its hops capture only {this, slot}.
+  struct InFlight {
+    sim::EventFn deliver;
+    obs::SpanRef span;  // traced sends: stamps `stage` with the wire time
+    obs::Stage stage = obs::Stage::kNetRequest;
+    Nanos sent = 0;
+    NodeId to = 0;
+    uint64_t wire_bytes = 0;
+    size_t rx_nic = 0;
+    Nanos rx_time = 0;
+  };
+
+  // Both Send overloads: chaos, accounting, then the loopback hop or the
+  // NIC path (twice for a chaos duplicate).
+  void Post(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver,
+            obs::SpanRef span, obs::Stage stage);
+
   // The NIC-and-propagation delivery path shared by the original message and
   // chaos duplicates. `extra_propagation` is the chaos delay for this copy.
-  void Transmit(NodeId from, NodeId to, uint64_t wire_bytes, Nanos extra_propagation,
-                sim::EventFn deliver);
+  void Transmit(NodeId from, NodeId to, Nanos extra_propagation, InFlight msg);
+  // The message has propagated to its destination: queue it on the ingress
+  // NIC, or drop it if the destination went down in flight.
+  void Arrive(uint32_t slot);
+  // Delivers the message (bytes accounting, span stamp, deliver closure).
+  void Complete(uint32_t slot);
+  // Drops the message and releases its closure.
+  void Drop(uint32_t slot) { in_flight_.Take(slot); }
 
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::pair<NodeId, NodeId>> broken_links_;
   std::map<std::pair<NodeId, NodeId>, LinkChaosRule> chaos_rules_;
   std::map<std::pair<NodeId, NodeId>, PendingBatch> pending_batches_;
+  SlotTable<InFlight> in_flight_;
   uint64_t coalesced_batches_ = 0;   // flushes that carried > 1 message
   uint64_t coalesced_messages_ = 0;  // messages that rode an existing batch
   Rng* chaos_rng_ = nullptr;

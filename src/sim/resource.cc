@@ -20,17 +20,18 @@ void Resource::Submit(Nanos service_time, EventFn done) {
 
 void Resource::StartNext() {
   while (busy_ < servers_ && !queue_.empty()) {
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
+    Job& job = queue_.front();
     ++busy_;
     busy_time_ += job.service_time;
-    Nanos service_time = job.service_time;
-    sim_->After(service_time,
-                [this, done = std::move(job.done)]() mutable { FinishJob(0, std::move(done)); });
+    const Nanos service_time = job.service_time;
+    const uint32_t slot = in_service_.Put(std::move(job.done));
+    queue_.pop_front();
+    sim_->After(service_time, [this, slot]() { FinishJob(slot); });
   }
 }
 
-void Resource::FinishJob(Nanos /*service_time*/, EventFn done) {
+void Resource::FinishJob(uint32_t slot) {
+  EventFn done = in_service_.Take(slot);
   --busy_;
   ++completed_jobs_;
   // Start successors before running the completion so the resource never

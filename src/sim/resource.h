@@ -3,7 +3,9 @@
 // Models contended capacity: a machine's CPU (`servers` = cores), a NIC
 // direction (`servers` = 1, service time = serialization delay), or an SSD
 // channel group. Jobs acquire a server for a fixed service time and run a
-// completion callback when done. Utilization feeds the Fig. 7 efficiency
+// completion callback when done. Destroying a Resource releases the
+// callbacks of its queued and in-service jobs; the simulator must not run
+// their pending events afterwards. Utilization feeds the Fig. 7 efficiency
 // numbers (IOPS per core = throughput / busy-cores).
 #ifndef URSA_SIM_RESOURCE_H_
 #define URSA_SIM_RESOURCE_H_
@@ -13,6 +15,7 @@
 #include <functional>
 #include <string>
 
+#include "src/common/slot_table.h"
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
 
@@ -47,13 +50,17 @@ class Resource {
   };
 
   void StartNext();
-  void FinishJob(Nanos service_time, EventFn done);
+  void FinishJob(uint32_t slot);
 
   Simulator* sim_;
   std::string name_;
   int servers_;
   int busy_ = 0;
   std::deque<Job> queue_;
+  // Completions of the jobs in service. Their events capture only
+  // {this, slot}: a closure holding the 72-byte EventFn itself would not fit
+  // InlineFn's inline buffer.
+  SlotTable<EventFn> in_service_;
   Nanos busy_time_ = 0;
   uint64_t completed_jobs_ = 0;
   Nanos stats_epoch_ = 0;

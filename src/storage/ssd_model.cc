@@ -40,26 +40,28 @@ void SsdModel::SubmitIo(IoRequest req) {
   }
   size_t base_channel = (req.offset / kStripe) % channels_.size();
 
-  auto remaining = std::make_shared<size_t>(num_slices);
-  auto done = std::make_shared<IoCallback>(std::move(req.done));
+  const uint32_t slot = pending_.Put(PendingIo{num_slices, std::move(req.done)});
   uint64_t left = req.length;
   for (size_t s = 0; s < num_slices; ++s) {
     uint64_t slice = std::min<uint64_t>(kStripe, left);
     left -= slice;
     Nanos service = op_overhead + TransferTime(slice, channel_bw);
     size_t channel = (base_channel + s) % channels_.size();
-    channels_[channel]->Submit(service, [this, remaining, done]() {
-      if (--*remaining > 0) {
-        return;
-      }
-      sim_->After(params_.controller_latency, [this, done]() {
-        --inflight_;
-        if (*done) {
-          (*done)(OkStatus());
-        }
-      });
-    });
+    channels_[channel]->Submit(service, [this, slot]() { SliceDone(slot); });
   }
+}
+
+void SsdModel::SliceDone(uint32_t slot) {
+  if (--pending_[slot].slices_left > 0) {
+    return;
+  }
+  sim_->After(params_.controller_latency, [this, slot]() {
+    --inflight_;
+    IoCallback done = std::move(pending_.Take(slot).done);
+    if (done) {
+      done(OkStatus());
+    }
+  });
 }
 
 Nanos SsdModel::channel_busy_time() const {

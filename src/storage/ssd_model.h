@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/slot_table.h"
 #include "src/common/units.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
@@ -46,8 +47,21 @@ class SsdModel : public BlockDevice {
   void SubmitIo(IoRequest req) override;
 
  private:
+  // An I/O between submit and completion: its channel slices still in
+  // service and the caller's callback. The slice and completion events
+  // capture only {this, slot}.
+  struct PendingIo {
+    size_t slices_left = 0;
+    IoCallback done;
+  };
+
+  // A channel finished one slice of the I/O in `slot`; the last one starts
+  // the controller-latency tail.
+  void SliceDone(uint32_t slot);
+
   SsdParams params_;
   std::vector<std::unique_ptr<sim::Resource>> channels_;
+  SlotTable<PendingIo> pending_;
   size_t inflight_ = 0;
 };
 

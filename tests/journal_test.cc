@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/journal/journal_lite.h"
 #include "src/journal/journal_record.h"
 #include "src/journal/journal_writer.h"
@@ -574,6 +575,49 @@ TEST(JournalLiteTest, GcForcesFullCopy) {
   EXPECT_TRUE(lite.ModifiedSince(1, 17, &ranges));
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0], (Interval{18 * 512, 3 * 512}));
+}
+
+TEST_F(JournalWriterTest, PendingBytesTracksThePendingQueue) {
+  // The backlog gauge reads a running count; it must equal the sum over the
+  // pending queue through appends, invalidations, replays (frees), wraps
+  // and crash restarts that reinstall the queue from a ring scan.
+  Rng rng(77);
+  auto sum_pending = [&]() {
+    uint64_t total = 0;
+    for (const AppendedRecord& rec : writer_.pending()) {
+      total += rec.length;
+    }
+    return total;
+  };
+  uint64_t version = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const uint64_t op = rng.Uniform(100);
+    const uint32_t len = static_cast<uint32_t>(rng.UniformRange(1, 16)) * 512;
+    if (op < 50 && writer_.CanFit(len)) {
+      ASSERT_TRUE(writer_.Append(1, 0, len, ++version, nullptr, [](const Status&) {}).ok());
+    } else if (op < 60 && writer_.CanFit(0)) {
+      ASSERT_TRUE(writer_.AppendInvalidation(1, 0, len, ++version, [](const Status&) {}).ok());
+    } else if (op < 99 && writer_.HasPending()) {
+      sim_.RunToCompletion();
+      writer_.PopFrontAndFree();
+    } else if (op == 99) {
+      // Crash restart: reinstall the queue a ring scan recovers.
+      sim_.RunToCompletion();
+      std::vector<AppendedRecord> survivors;
+      writer_.Scan([&](const Status& s, std::vector<AppendedRecord> recs, ScanReport) {
+        ASSERT_TRUE(s.ok());
+        survivors = std::move(recs);
+      });
+      sim_.RunToCompletion();
+      writer_.RestorePending(std::move(survivors));
+    }
+    ASSERT_EQ(writer_.pending_bytes(), sum_pending()) << "step " << step;
+  }
+  sim_.RunToCompletion();
+  while (writer_.HasPending()) {
+    writer_.PopFrontAndFree();
+  }
+  EXPECT_EQ(writer_.pending_bytes(), 0u);
 }
 
 }  // namespace

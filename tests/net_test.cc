@@ -3,6 +3,7 @@
 // (PendingCall timeouts, QuorumTracker commit rules).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/net/message.h"
@@ -122,6 +123,49 @@ TEST(TransportTest, DownNodeDropsMessages) {
   net.Send(a, b, 100, [&]() { delivered = true; });
   sim.RunToCompletion();
   EXPECT_TRUE(delivered);
+}
+
+TEST(TransportTest, MessageDroppedInFlightReleasesItsClosure) {
+  // The destination goes down while the message propagates (5 us) or while
+  // it serializes onto the destination's ingress NIC (30 us): the message is
+  // dropped and its deliver closure released then, not leaked.
+  for (Nanos down_at : {usec(5), usec(30)}) {
+    sim::Simulator sim;
+    Transport net(&sim);
+    NodeId a = net.AddNode("a");
+    NodeId b = net.AddNode("b");
+    auto sentinel = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = sentinel;
+    bool delivered = false;
+    net.Send(a, b, 4096, [sentinel, &delivered]() { delivered = true; });
+    sentinel.reset();
+    sim.RunUntil(down_at);
+    EXPECT_FALSE(watch.expired()) << down_at;
+    net.SetNodeDown(b, true);
+    sim.RunToCompletion();
+    EXPECT_FALSE(delivered) << down_at;
+    EXPECT_TRUE(watch.expired()) << down_at;
+  }
+}
+
+TEST(TransportTest, DestroyedTransportReleasesMessagesInFlight) {
+  sim::Simulator sim;
+  auto net = std::make_unique<Transport>(&sim);
+  NodeId a = net->AddNode("a");
+  NodeId b = net->AddNode("b");
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  auto span = std::make_shared<obs::Span>(/*is_write=*/false, 0);
+  std::weak_ptr<obs::Span> span_watch = span;
+  net->Send(a, b, 4096, [sentinel]() {}, span, obs::Stage::kNetRequest);  // on the wire
+  net->Send(a, a, 64, [sentinel]() {});                                   // loopback
+  sim.RunUntil(usec(1));
+  sentinel.reset();
+  span.reset();
+  EXPECT_FALSE(watch.expired());
+  net.reset();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_TRUE(span_watch.expired());
 }
 
 TEST(TransportTest, BrokenLinkIsBidirectional) {

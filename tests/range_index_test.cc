@@ -379,5 +379,48 @@ TEST_P(QueryToEquivalenceTest, RepeatedCompactionsKeepFenceConsistent) {
   }
 }
 
+TEST(RangeIndexTest, CountMappedMatchesQueryMappedUnderRandomOps) {
+  // The journal's index-segment gauge counts instead of building segments;
+  // the count must equal the segments QueryMapped returns, through inserts,
+  // erases, replay-style conditional erases, and compactions.
+  Rng rng(404);
+  RangeIndex index(/*merge_threshold=*/48);
+  std::vector<std::pair<uint32_t, uint64_t>> inserted;  // (offset, j) of past inserts
+  uint64_t next_j = 0;
+  auto random_offset = [&](uint32_t len) {
+    // Mostly a dense low range, sometimes the very top of the chunk space.
+    if (rng.Uniform(10) == 0) {
+      return kMaxOffset + 1 - len - static_cast<uint32_t>(rng.Uniform(64));
+    }
+    return static_cast<uint32_t>(rng.Uniform(4096));
+  };
+  for (int step = 0; step < 6000; ++step) {
+    const uint64_t op = rng.Uniform(100);
+    const uint32_t len = static_cast<uint32_t>(rng.UniformRange(1, 64));
+    const uint32_t off = random_offset(len);
+    if (op < 55) {
+      index.Insert(off, len, next_j);
+      inserted.emplace_back(off, next_j);
+      next_j += len;
+    } else if (op < 70) {
+      index.EraseRange(off, len);
+    } else if (op < 92 && !inserted.empty()) {
+      const auto& [ioff, ij] = inserted[rng.Uniform(inserted.size())];
+      index.EraseIfMapsTo(ioff, len, ij);
+    } else if (op < 95) {
+      index.Compact();
+    }
+    ASSERT_EQ(index.CountMapped(0, kMaxOffset), index.QueryMapped(0, kMaxOffset).size())
+        << "step " << step;
+    ASSERT_EQ(index.CountMapped(0, kMaxOffset + 1), index.QueryMapped(0, kMaxOffset + 1).size())
+        << "step " << step;
+    const uint32_t qlen = static_cast<uint32_t>(rng.UniformRange(1, 512));
+    const uint32_t qoff = random_offset(qlen);
+    ASSERT_EQ(index.CountMapped(qoff, qlen), index.QueryMapped(qoff, qlen).size())
+        << "step " << step << " query " << qoff << "+" << qlen;
+  }
+  EXPECT_EQ(index.CountMapped(100, 0), 0u);
+}
+
 }  // namespace
 }  // namespace ursa::index

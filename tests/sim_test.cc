@@ -4,9 +4,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/loop.h"
+#include "src/common/rng.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
@@ -139,6 +142,82 @@ TEST(EventQueueTest, CancelRescheduleStress) {
   EXPECT_EQ(fired.size(), expected_fired.size() + live.size());
 }
 
+TEST(EventQueueTest, MatchesOrderedModelThroughCancelStorms) {
+  // Random schedule/cancel/pop mixes checked against a reference ordered
+  // map on (when, seq): every pop must fire the model's minimum. Storms
+  // schedule a burst of far-future timeouts and cancel them all, the way
+  // completed RPCs cancel theirs; the bound on resident heap entries holds
+  // after every operation only because the queue compacts tombstones.
+  EventQueue q;
+  Rng rng(20260);
+  std::map<std::pair<Nanos, uint64_t>, EventId> model;  // (when, seq) -> id
+  std::vector<std::pair<Nanos, uint64_t>> pending;      // for random cancels
+  std::unordered_map<uint64_t, size_t> slot_of;         // seq -> index in pending
+  uint64_t next_seq = 0;
+  uint64_t fired_seq = UINT64_MAX;
+  Nanos now = 0;
+
+  auto schedule = [&](Nanos when) {
+    const uint64_t seq = next_seq++;
+    model[{when, seq}] = q.Schedule(when, [seq, &fired_seq]() { fired_seq = seq; });
+    slot_of[seq] = pending.size();
+    pending.emplace_back(when, seq);
+  };
+  auto forget = [&](const std::pair<Nanos, uint64_t>& key) {
+    const size_t i = slot_of[key.second];
+    pending[i] = pending.back();
+    slot_of[pending[i].second] = i;
+    pending.pop_back();
+    slot_of.erase(key.second);
+    model.erase(key);
+  };
+  auto cancel = [&](size_t i) {
+    const std::pair<Nanos, uint64_t> key = pending[i];
+    ASSERT_TRUE(q.Cancel(model.at(key)));
+    EXPECT_FALSE(q.Cancel(model.at(key)));
+    forget(key);
+  };
+  auto pop = [&]() {
+    Nanos when = -1;
+    q.PopNext(&when)();
+    const std::pair<Nanos, uint64_t> expect = model.begin()->first;
+    ASSERT_EQ(when, expect.first);
+    ASSERT_EQ(fired_seq, expect.second);
+    now = when;
+    forget(expect);
+  };
+
+  size_t peak_resident = 0;
+  for (int step = 0; step < 60000; ++step) {
+    const uint64_t r = rng.Uniform(1000);
+    if (r < 500 || model.empty()) {
+      schedule(now + static_cast<Nanos>(rng.Uniform(2000)));  // frequent ties
+    } else if (r < 740) {
+      cancel(static_cast<size_t>(rng.Uniform(pending.size())));
+    } else if (r < 995) {
+      pop();
+    } else {
+      std::vector<uint64_t> storm;
+      for (int i = 0; i < 400; ++i) {
+        storm.push_back(next_seq);
+        schedule(now + msec(800));
+      }
+      for (uint64_t seq : storm) {
+        cancel(slot_of.at(seq));
+      }
+    }
+    ASSERT_EQ(q.size(), model.size()) << "step " << step;
+    ASSERT_LE(q.resident(), 2 * q.size() + EventQueue::kCompactSlack) << "step " << step;
+    peak_resident = std::max(peak_resident, q.resident());
+  }
+  EXPECT_GT(peak_resident, 400u);  // the storms did fill the heap
+  while (!model.empty()) {
+    pop();
+    ASSERT_LE(q.resident(), 2 * q.size() + EventQueue::kCompactSlack);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(SimulatorTest, ClockAdvances) {
   Simulator sim;
   Nanos seen = -1;
@@ -239,6 +318,36 @@ TEST(ResourceTest, ResubmitFromCompletionContinues) {
   sim.RunToCompletion();
   EXPECT_EQ(count, 5);
   EXPECT_EQ(sim.Now(), 50);
+}
+
+TEST(ResourceTest, DestroyedResourceReleasesItsJobs) {
+  // The resource owns the callbacks of its queued and in-service jobs: the
+  // in-service job's event captures only an index into the resource.
+  Simulator sim;
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  auto r = std::make_unique<Resource>(&sim, "disk", 1);
+  r->Submit(100, [sentinel]() {});  // in service
+  r->Submit(100, [sentinel]() {});  // queued behind it
+  sentinel.reset();
+  EXPECT_FALSE(watch.expired());
+  r.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(ResourceTest, CompletedJobsReleaseTheirCallbacks) {
+  Simulator sim;
+  Resource r(&sim, "cpu", 2);
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  int ran = 0;
+  for (int i = 0; i < 5; ++i) {
+    r.Submit(10, [sentinel, &ran]() { ++ran; });
+  }
+  sentinel.reset();
+  sim.RunToCompletion();
+  EXPECT_EQ(ran, 5);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(LoopTest, RunsUntilDoneThenReleasesItsCaptures) {
